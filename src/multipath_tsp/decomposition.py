@@ -3,8 +3,12 @@
 The walk always follows the lowest-indexed arc with positive residual, which
 makes the decomposition deterministic. Whenever the walk revisits a vertex
 the enclosed loop is extracted immediately as a cycle (bottleneck weight
-subtracted), so emitted paths are simple and every extraction zeroes at
-least one arc; that caps the number of elements at the arc count.
+subtracted), so emitted paths are simple. A source-to-sink path weighs at
+most the source's remaining surplus: when flow re-enters the source through
+a cycle, that cycle's mass stays behind as a circulation instead of leaving
+an unextractable sink-to-source path. Every extraction zeroes at least one
+arc except a path capped by the surplus, which ends the path phase; that
+caps the number of elements at the arc count plus one.
 """
 
 from __future__ import annotations
@@ -83,8 +87,8 @@ def _extract_commodity(dig, residual: np.ndarray, s: int, t: int):
     def surplus() -> float:
         return float(residual[list(out_arcs[s])].sum() - residual[list(dig.in_arcs[s])].sum())
 
-    def subtract(arcs: list[int]) -> float:
-        w = float(min(residual[a] for a in arcs))
+    def subtract(arcs: list[int], cap: float = np.inf) -> float:
+        w = min(float(min(residual[a] for a in arcs)), cap)
         for a in arcs:
             residual[a] -= w
         _zero_small(residual)
@@ -105,7 +109,7 @@ def _extract_commodity(dig, residual: np.ndarray, s: int, t: int):
                 w = heads[a]
                 if w == t:
                     arcs = walk_a + [a]
-                    weight = subtract(arcs)
+                    weight = subtract(arcs, surplus())
                     paths.append(FlowWalk(tuple(arcs), tuple(walk_v + [t]), weight))
                     break
                 if w in pos:
@@ -123,7 +127,7 @@ def _extract_commodity(dig, residual: np.ndarray, s: int, t: int):
                 pos[w] = len(walk_v) - 1
             if stalled:
                 break
-            if len(paths) + len(cycles) > num_arcs:
+            if len(paths) + len(cycles) > num_arcs + 1:
                 raise InternalError("decomposition exceeded the arc-count bound")
 
     while True:
@@ -153,7 +157,7 @@ def _extract_commodity(dig, residual: np.ndarray, s: int, t: int):
                 pos[w] = len(walk_v) - 1
         if not closed:
             break
-        if len(paths) + len(cycles) > num_arcs:
+        if len(paths) + len(cycles) > num_arcs + 1:
             raise InternalError("decomposition exceeded the arc-count bound")
 
     return tuple(paths), tuple(cycles)

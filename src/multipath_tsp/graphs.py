@@ -120,9 +120,13 @@ class BidirectedGraph:
 
     Arc 2e keeps the stored (u,v) orientation, arc 2e+1 is the reverse,
     so ``arc ^ 1`` is always the opposite arc and ``arc >> 1`` the base edge.
+
+    ``residual_heads`` and ``residual_incident`` describe the residual network
+    that ``min_cut`` augments on: residual edge 2a is arc a forward, 2a+1 its
+    reverse, and ``residual_incident[u]`` lists the residual edges leaving u.
     """
 
-    __slots__ = ("base", "arcs", "out_arcs", "in_arcs")
+    __slots__ = ("base", "arcs", "out_arcs", "in_arcs", "residual_heads", "residual_incident")
 
     def __init__(self, base: Graph):
         self.base = base
@@ -140,6 +144,15 @@ class BidirectedGraph:
         self.arcs: tuple[tuple[int, int], ...] = tuple(arcs)
         self.out_arcs: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in out_lists)
         self.in_arcs: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in in_lists)
+        heads = [0] * (2 * len(arcs))
+        incident: list[list[int]] = [[] for _ in range(base.n)]
+        for a, (u, v) in enumerate(arcs):
+            heads[2 * a] = v
+            heads[2 * a + 1] = u
+            incident[u].append(2 * a)
+            incident[v].append(2 * a + 1)
+        self.residual_heads: tuple[int, ...] = tuple(heads)
+        self.residual_incident: tuple[tuple[int, ...], ...] = tuple(tuple(e) for e in incident)
 
     @property
     def num_arcs(self) -> int:
@@ -183,13 +196,8 @@ def min_cut(net: CapacitatedNetwork, s: int, t: int) -> tuple[float, frozenset[i
     res = np.empty(2 * num_arcs)
     res[0::2] = net.capacity
     res[1::2] = 0.0
-    heads = [0] * (2 * num_arcs)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for a, (u, v) in enumerate(dig.arcs):
-        heads[2 * a] = v
-        heads[2 * a + 1] = u
-        incident[u].append(2 * a)
-        incident[v].append(2 * a + 1)
+    heads = dig.residual_heads
+    incident = dig.residual_incident
 
     total = 0.0
     while True:

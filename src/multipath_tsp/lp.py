@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
 
 from .errors import InternalError, LpError
 from .graphs import BidirectedGraph, CapacitatedNetwork, min_cut
@@ -42,7 +42,14 @@ class CutConstraint:
 
 
 class LpModel:
-    """Row/column store solved from scratch per round via scipy's HiGHS."""
+    """Row/column store mirrored into one persistent HiGHS model.
+
+    Each cut row is appended to the same HiGHS handle, so every round's dual
+    simplex warm-starts from the previous round's basis. The model is
+    per-solve mutable state: unlike the immutable `FractionalSolution` it
+    returns, it is not meant to be shared across workers. `_eq_rows` and
+    `_ge_rows` keep the rows in Python for `dump_text` and the audits.
+    """
 
     def __init__(self, inst: Instance):
         self.instance = inst
@@ -63,12 +70,44 @@ class LpModel:
         self.cuts: list[CutConstraint] = []
         self._cut_keys: set[tuple[int, int, frozenset[int]]] = set()
         self._build_static()
+        self._highs = _Highs()
+        self._highs.setOptionValue("output_flag", False)
+        costs = np.zeros(self.num_columns)
+        costs[: self.num_flow_columns] = 1.0
+        no_entries = np.zeros(self.num_columns, dtype=np.int32)
+        self._check(self._highs.addCols(
+            self.num_columns, costs, np.zeros(self.num_columns), np.full(self.num_columns, kHighsInf),
+            0, no_entries, np.zeros(0, dtype=np.int32), np.zeros(0),
+        ))
+        self._pass_rows(self._eq_rows, equality=True)
+        self._pass_rows(self._ge_rows, equality=False)
 
     def flow_col(self, i: int, a: int) -> int:
         return i * self.digraph.num_arcs + a
 
     def cover_col(self, i: int, v: int) -> int:
         return self._cover_col[(i, v)]
+
+    @staticmethod
+    def _check(status: HighsStatus) -> None:
+        if status == HighsStatus.kError:
+            raise InternalError("HiGHS rejected a model change")
+
+    def _pass_rows(self, rows: list[tuple[dict[int, float], float]], equality: bool) -> None:
+        """Hand rows to HiGHS in CSR form: lower = b, upper = b or +inf."""
+        starts: list[int] = []
+        indices: list[int] = []
+        values: list[float] = []
+        for coefs, _ in rows:
+            starts.append(len(indices))
+            indices.extend(coefs)
+            values.extend(coefs.values())
+        lower = np.array([b for _, b in rows], dtype=float)
+        upper = lower if equality else np.full(len(rows), kHighsInf)
+        self._check(self._highs.addRows(
+            len(rows), lower, upper, len(indices),
+            np.array(starts, dtype=np.int32), np.array(indices, dtype=np.int32), np.array(values),
+        ))
 
     def _build_static(self) -> None:
         inst = self.instance
@@ -114,42 +153,24 @@ class LpModel:
             if u in cut.members and w not in cut.members:
                 coefs[self.flow_col(cut.commodity, a)] = 1.0
         self._ge_rows.append((coefs, 0.0))
+        self._pass_rows(self._ge_rows[-1:], equality=False)
         self._cut_keys.add(key)
         self.cuts.append(cut)
         return True
 
     def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Optimize the current rows; returns (flows, cover, objective)."""
-        inst = self.instance
-        dig = self.digraph
-        k, num_arcs, n = inst.k, dig.num_arcs, inst.graph.n
+        """Re-optimize the current rows; returns (flows, cover, objective)."""
+        k, num_arcs, n = self.instance.k, self.digraph.num_arcs, self.instance.graph.n
         if self.num_columns == 0:
             return np.zeros((k, num_arcs)), np.zeros((k, n)), 0.0
-        c = np.zeros(self.num_columns)
-        c[: self.num_flow_columns] = 1.0
-
-        def dense(rows):
-            mat = np.zeros((len(rows), self.num_columns))
-            rhs = np.zeros(len(rows))
-            for r, (coefs, b) in enumerate(rows):
-                for col, val in coefs.items():
-                    mat[r, col] = val
-                rhs[r] = b
-            return mat, rhs
-
-        a_eq, b_eq = dense(self._eq_rows) if self._eq_rows else (None, None)
-        a_ub, b_ub = (None, None)
-        if self._ge_rows:
-            a_ub, b_ub = dense(self._ge_rows)
-            a_ub, b_ub = -a_ub, -b_ub
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise LpError(f"LP backend infeasible or failed (status {res.status}): {res.message}")
-        x = np.maximum(res.x, 0.0)
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise LpError(f"LP backend infeasible or failed: {self._highs.modelStatusToString(status)}")
+        x = np.maximum(np.asarray(self._highs.getSolution().col_value), 0.0)
         flows = x[: self.num_flow_columns].reshape(k, num_arcs)
         cover = np.zeros((k, n))
-        for (i, v), col in self._cover_col.items():
-            cover[i, v] = x[col]
+        cover[:, self.cover_vertices] = x[self.num_flow_columns:].reshape(k, len(self.cover_vertices))
         return flows, cover, float(flows.sum())
 
     def dump_text(self) -> str:

@@ -92,6 +92,25 @@ class TestHandFlows:
         assert dec.cycles[0][0].weight == pytest.approx(1.0)
         assert set(dec.cycles[0][0].vertices) == {2, 3, 4}
 
+    def test_source_reentry_caps_path_at_surplus(self):
+        """Flow re-entering the source through 3->4->0 must stay behind as a
+        cycle, not ride along on the second path and strand a sink-to-source
+        remainder."""
+        inst = Instance(Graph(5, [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4], [0, 4]]), ((0, 3),))
+        dig = BidirectedGraph(inst.graph)
+        flows = np.zeros((1, dig.num_arcs))
+        for u, v in [(0, 1), (1, 3), (3, 4), (4, 0)]:
+            flows[0, dig.arc_id(u, v)] = 0.5
+        for u, v in [(0, 2), (2, 3)]:
+            flows[0, dig.arc_id(u, v)] = 1.0
+        sol = FractionalSolution(inst, dig, flows, np.zeros((1, 5)), float(flows.sum()))
+        dec = decompose(inst, sol)
+        assert [p.vertices for p in dec.paths[0]] == [(0, 1, 3), (0, 2, 3)]
+        assert [p.weight for p in dec.paths[0]] == [pytest.approx(0.5), pytest.approx(0.5)]
+        assert [c.vertices for c in dec.cycles[0]] == [(0, 2, 3, 4, 0)]
+        assert dec.cycles[0][0].weight == pytest.approx(0.5)
+        assert_invariants(inst, sol, dec)
+
 
 class TestPathMass:
     def test_single_path(self, path3):

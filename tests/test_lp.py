@@ -156,6 +156,37 @@ class TestCuttingPlaneLoop:
         with pytest.raises(OracleLimitError):
             brute_force_cut_check(inst, sol)
 
+    def test_row_stores_match_the_solver_model(self, fig1):
+        """Drive the model by hand: every iterate the solver returns must
+        satisfy every row kept in `_eq_rows` and `_ge_rows`, and a repeated
+        cut must be refused without moving the optimum."""
+        for inst in [fig1] + random_instances("multipath", 15, seed=5, n_max=9):
+            model = build_static(inst)
+            for _ in range(50):
+                flows, cover, obj = model.solve()
+                x = np.zeros(model.num_columns)
+                for i in range(inst.k):
+                    for a in range(model.digraph.num_arcs):
+                        x[model.flow_col(i, a)] = flows[i, a]
+                    for v in model.cover_vertices:
+                        x[model.cover_col(i, v)] = cover[i, v]
+                for coefs, b in model._eq_rows:
+                    assert abs(sum(val * x[col] for col, val in coefs.items()) - b) <= EPS_LP
+                for coefs, b in model._ge_rows:
+                    assert sum(val * x[col] for col, val in coefs.items()) >= b - EPS_LP
+                sol = FractionalSolution(inst, model.digraph, flows, cover, obj, tuple(model.cuts))
+                found = separate(inst, sol)
+                if not found:
+                    break
+                assert all([model.add_cut(cut) for cut in found])
+            else:
+                pytest.fail("cut loop did not settle within 50 rounds")
+            if model.cuts:
+                rows = len(model._ge_rows)
+                assert model.add_cut(model.cuts[-1]) is False
+                assert len(model._ge_rows) == rows
+                assert model.solve()[2] == pytest.approx(obj, abs=EPS_LP)
+
     def test_lazy_loop_reaches_materialized_optimum(self):
         """Solving with every cut row written out up front must agree with
         the cutting-plane loop; certifies separation end to end."""
