@@ -1,9 +1,13 @@
 """Solvers for multi-path tours, ordered tours, and multi-depot coverage on
 unit-cost graphs, built around a flow relaxation with lazily separated
-connectivity cuts."""
+connectivity cuts.
 
-from .bench import BenchConfig, export_dot, generate, run_bench
-from .decomposition import Decomposition, FlowWalk, PathMass, decompose, path_mass
+Each solver family solves the LP once per instance: `prepare` (or
+`prepare_ordered`) builds a plan, and the `run_*` functions reuse it. The
+`solve_*` functions are one-shot wrappers that prepare a fresh plan.
+"""
+
+from .bench import BenchConfig, generate, run_bench
 from .errors import (
     DecompositionError,
     GenerationError,
@@ -13,101 +17,61 @@ from .errors import (
     OracleLimitError,
     ToolkitError,
 )
-from .exact import ExactResult, brute_force_cut_check, exact_opt, reconstruct_walks
-from .graphs import (
-    BidirectedGraph,
-    CapacitatedNetwork,
-    Graph,
-    bfs_distances,
-    is_connected,
-    min_cut,
-    shortest_path,
-)
+from .exact import ExactResult, exact_opt, reconstruct_walks
+from .graphs import Graph
 from .instances import (
     Instance,
     OrderedInstance,
     Solution,
-    check_feasible,
     load_instance,
     load_solution,
     save_instance,
     save_solution,
     validate_solution,
 )
-from .lp import CutConstraint, FractionalSolution, LpModel, build_static, separate, solve_lp
-from .multipath import (
-    CostReport,
-    SamplerState,
-    reconnect,
-    sample_paths,
-    solve_derandomized,
-    solve_randomized,
-)
-from .ordered import OrderedSolution, extract_ordered_walks, solve_ordered, validate_ordered
-from .parity import EdgeMultiset, TJoin, min_tjoin, odd_vertices, tjoin_brute_force, tjoin_fractional_bound
-from .vrp import CombinerReport, VrpInstance, solve_combiner, solve_vrp_forest
+from .lp import solve_lp
+from .multipath import CostReport, prepare, run_derandomized, run_trial, solve_derandomized, solve_randomized
+from .ordered import OrderedSolution, prepare_ordered, run_ordered_trial, solve_ordered, validate_ordered
+from .vrp import CombinerReport, VrpInstance, run_combiner, solve_combiner, solve_vrp_forest
 
 __all__ = [
     "BenchConfig",
-    "BidirectedGraph",
-    "CapacitatedNetwork",
     "CombinerReport",
     "CostReport",
-    "CutConstraint",
-    "Decomposition",
     "DecompositionError",
-    "EdgeMultiset",
     "ExactResult",
-    "FlowWalk",
-    "FractionalSolution",
     "GenerationError",
     "Graph",
     "Instance",
     "InstanceError",
     "InternalError",
     "LpError",
-    "LpModel",
     "OracleLimitError",
     "OrderedInstance",
     "OrderedSolution",
-    "PathMass",
-    "SamplerState",
     "Solution",
-    "TJoin",
     "ToolkitError",
     "VrpInstance",
-    "bfs_distances",
-    "brute_force_cut_check",
-    "build_static",
-    "check_feasible",
-    "decompose",
     "exact_opt",
-    "export_dot",
-    "extract_ordered_walks",
     "generate",
-    "is_connected",
     "load_instance",
     "load_solution",
-    "min_cut",
-    "min_tjoin",
-    "odd_vertices",
-    "path_mass",
-    "reconnect",
+    "prepare",
+    "prepare_ordered",
     "reconstruct_walks",
     "run_bench",
-    "sample_paths",
+    "run_combiner",
+    "run_derandomized",
+    "run_ordered_trial",
+    "run_trial",
     "save_instance",
     "save_solution",
-    "separate",
-    "shortest_path",
     "solve_combiner",
     "solve_derandomized",
     "solve_lp",
     "solve_ordered",
     "solve_randomized",
     "solve_vrp_forest",
-    "tjoin_brute_force",
-    "tjoin_fractional_bound",
     "validate_ordered",
     "validate_solution",
 ]

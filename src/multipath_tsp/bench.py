@@ -16,11 +16,11 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import GenerationError, OracleLimitError, ToolkitError
 from .exact import exact_opt
-from .graphs import Graph
-from .instances import AnyInstance, Instance, OrderedInstance, Solution, check_feasible, load_instance, validate_solution
-from .multipath import prepare, run_trial, solve_derandomized
+from .graphs import Graph, is_connected
+from .instances import AnyInstance, Instance, OrderedInstance, Solution, load_instance, validate_solution
+from .multipath import prepare, run_derandomized, run_trial
 from .ordered import prepare_ordered, run_ordered_trial
-from .vrp import VrpInstance, solve_combiner, solve_vrp_forest
+from .vrp import VrpInstance, run_combiner, solve_vrp_forest
 
 SCHEMA_VERSION = 1
 MAX_GENERATION_RETRIES = 200
@@ -55,8 +55,6 @@ def _random_connected_graph(rng: random.Random, n: int, cfg: BenchConfig) -> Gra
         for _ in range(MAX_GENERATION_RETRIES):
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < cfg.edge_prob]
             g = Graph(n, edges)
-            from .graphs import is_connected
-
             if is_connected(g):
                 return g
         raise GenerationError(f"generation failed: no connected G({n}, {cfg.edge_prob}) in budget")
@@ -69,40 +67,38 @@ def _random_connected_graph(rng: random.Random, n: int, cfg: BenchConfig) -> Gra
     return Graph(n, edges)
 
 
+def _draw(rng: random.Random, lo: int, hi: int, what: str) -> int:
+    if lo > hi:
+        raise GenerationError(f"generation failed: empty range [{lo}, {hi}] for the {what}")
+    return rng.randint(lo, hi)
+
+
 def generate(cfg: BenchConfig, seed: int) -> AnyInstance:
-    """One random connected, feasible instance; deterministic per seed."""
+    """One random connected instance; deterministic per seed."""
     rng = random.Random(seed)
-    n = rng.randint(cfg.n_min, cfg.n_max)
+    n = _draw(rng, cfg.n_min, cfg.n_max, "vertex count")
     if cfg.mode == "ordered":
         n = max(n, 2)
     graph = _random_connected_graph(rng, n, cfg)
     if cfg.mode == "ordered":
-        k = rng.randint(max(2, cfg.k_min), max(2, min(cfg.k_max, n)))
-        order = tuple(rng.sample(range(n), k))
-        inst: AnyInstance = OrderedInstance(graph, order)
-    elif cfg.mode == "vrp":
-        k = rng.randint(max(1, cfg.k_min), max(1, min(cfg.k_max, n)))
-        depots = rng.sample(range(n), k)
-        inst = Instance(graph, tuple((d, d) for d in depots))
-    else:
-        if n == 1:
-            inst = Instance(graph, ((0, 0),))
-        else:
-            k = rng.randint(cfg.k_min, min(cfg.k_max, n * n))
-            seen: set[tuple[int, int]] = set()
-            for _ in range(MAX_GENERATION_RETRIES * max(1, k)):
-                if len(seen) == k:
-                    break
-                s = rng.randrange(n)
-                t = s if rng.random() < cfg.depot_fraction else rng.randrange(n)
-                seen.add((s, t))
-            if len(seen) < k:
-                raise GenerationError("generation failed: could not draw distinct commodities")
-            inst = Instance(graph, tuple(sorted(seen)))
-    base = inst.to_instance() if isinstance(inst, OrderedInstance) else inst
-    if not check_feasible(base):
-        raise GenerationError("generation failed: infeasible instance")
-    return inst
+        k = _draw(rng, max(2, cfg.k_min), max(2, min(cfg.k_max, n)), f"terminal count at n={n}")
+        return OrderedInstance(graph, tuple(rng.sample(range(n), k)))
+    if cfg.mode == "vrp":
+        k = _draw(rng, max(1, cfg.k_min), max(1, min(cfg.k_max, n)), f"depot count at n={n}")
+        return Instance(graph, tuple((d, d) for d in rng.sample(range(n), k)))
+    if n == 1:
+        return Instance(graph, ((0, 0),))
+    k = _draw(rng, cfg.k_min, min(cfg.k_max, n * n), f"commodity count at n={n}")
+    seen: set[tuple[int, int]] = set()
+    for _ in range(MAX_GENERATION_RETRIES * max(1, k)):
+        if len(seen) == k:
+            break
+        s = rng.randrange(n)
+        t = s if rng.random() < cfg.depot_fraction else rng.randrange(n)
+        seen.add((s, t))
+    if len(seen) < k:
+        raise GenerationError("generation failed: could not draw distinct commodities")
+    return Instance(graph, tuple(sorted(seen)))
 
 
 def _row_seed(cfg: BenchConfig, index: int) -> int:
@@ -119,11 +115,11 @@ def _checked_cost(inst: Instance, sol: Solution) -> int:
 def _multipath_row(cfg: BenchConfig, inst: Instance, row: dict) -> None:
     plan = prepare(inst)
     row["lp"] = plan.lp.objective
-    sol_d, _rep = solve_derandomized(inst)
+    sol_d, _rep = run_derandomized(plan)
     cost_d = _checked_cost(inst, sol_d)
     row["cost_derandomized"] = cost_d
     row["ratio_derand_lp"] = cost_d / plan.lp.objective if plan.lp.objective > 0 else 1.0
-    sol_c, crep = solve_combiner(inst)
+    sol_c, crep = run_combiner(plan)
     row["cost_combiner"] = _checked_cost(inst, sol_c)
     row["combiner_winner"] = crep.winner
     try:

@@ -33,7 +33,7 @@ from .instances import (
     save_instance,
     save_solution,
 )
-from .lp import build_static, solve_lp
+from .lp import LpModel, solve_lp
 from .multipath import solve_derandomized, solve_randomized
 from .ordered import prepare_ordered, run_ordered_trial
 from .parity import min_tjoin
@@ -129,7 +129,7 @@ def _cmd_lp(args) -> None:
     base = inst.to_instance() if isinstance(inst, OrderedInstance) else inst
     sol = solve_lp(base)
     if args.dump_lp:
-        model = build_static(base)
+        model = LpModel(base)
         for cut in sol.cuts:
             model.add_cut(cut)
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
@@ -156,7 +156,12 @@ def _cmd_decompose(args) -> None:
 
 def _cmd_tjoin(args) -> None:
     inst = _read_instance(args.input)
-    odd = tuple(int(x) for x in args.odd.split(",")) if args.odd else ()
+    try:
+        odd = tuple(int(x) for x in args.odd.split(",")) if args.odd else ()
+    except ValueError:
+        raise InstanceError("schema", f"--odd must list integer vertices, got {args.odd!r}") from None
+    if len(set(odd)) != len(odd):
+        raise InstanceError("schema", f"--odd repeats a vertex: {args.odd}")
     for v in odd:
         if not 0 <= v < inst.graph.n:
             raise InstanceError("index-out-of-range", f"odd vertex {v} outside vertex range")

@@ -47,19 +47,6 @@ class Decomposition:
         return sum(p.weight for p in self.paths[i])
 
 
-@dataclass(frozen=True, eq=False)
-class PathMass:
-    """Per-(commodity, vertex) weight of simple paths passing through, zero at sinks."""
-
-    values: np.ndarray  # shape (k, n)
-
-    def of(self, i: int, v: int) -> float:
-        return float(self.values[i, v])
-
-    def total(self, v: int) -> float:
-        return float(self.values[:, v].sum())
-
-
 def _zero_small(residual: np.ndarray) -> None:
     residual[residual < EPS_DEC] = 0.0
 
@@ -94,69 +81,41 @@ def _extract_commodity(dig, residual: np.ndarray, s: int, t: int):
         _zero_small(residual)
         return w
 
-    if s != t:
-        while surplus() > EPS_DEC:
-            walk_v = [s]
-            walk_a: list[int] = []
-            pos = {s: 0}
-            stalled = False
-            while True:
-                a = pick(walk_v[-1])
-                if a == -1:
-                    _check_stall(residual, num_arcs)
-                    stalled = True
-                    break
-                w = heads[a]
-                if w == t:
-                    arcs = walk_a + [a]
-                    weight = subtract(arcs, surplus())
-                    paths.append(FlowWalk(tuple(arcs), tuple(walk_v + [t]), weight))
-                    break
-                if w in pos:
-                    j = pos[w]
-                    loop = walk_a[j:] + [a]
-                    weight = subtract(loop)
-                    cycles.append(FlowWalk(tuple(loop), tuple(walk_v[j:] + [w]), weight))
-                    for dropped in walk_v[j + 1:]:
-                        del pos[dropped]
-                    walk_v = walk_v[: j + 1]
-                    walk_a = walk_a[:j]
-                    continue
-                walk_v.append(w)
-                walk_a.append(a)
-                pos[w] = len(walk_v) - 1
-            if stalled:
-                break
-            if len(paths) + len(cycles) > num_arcs + 1:
-                raise InternalError("decomposition exceeded the arc-count bound")
-
+    # One walk per element: from s toward t while the source has surplus, else
+    # from the tail of the lowest positive arc, which is also its first pick.
+    # It stops at the first path, loop or stall. A loop leaves the arcs before
+    # it untouched, so the next walk from s retraces that prefix; the path
+    # phase ends only after a path, when the surplus is read again.
+    paths_left = s != t and surplus() > EPS_DEC
     while True:
-        start = next((a for a in range(num_arcs) if residual[a] > EPS_DEC), -1)
-        if start == -1:
-            break
-        u = dig.arcs[start][0]
-        walk_v = [u, heads[start]]
-        walk_a = [start]
-        pos = {u: 0, heads[start]: 1}
-        closed = False
-        while not closed:
+        if paths_left:
+            v, sink = s, t
+        else:
+            first = next((a for a in range(num_arcs) if residual[a] > EPS_DEC), -1)
+            if first == -1:
+                break
+            v, sink = dig.arcs[first][0], -1
+        walk_v = [v]
+        walk_a: list[int] = []
+        pos = {v: 0}
+        while True:
             a = pick(walk_v[-1])
             if a == -1:
                 _check_stall(residual, num_arcs)
-                break
+                return tuple(paths), tuple(cycles)
             w = heads[a]
+            if w == sink:
+                arcs = walk_a + [a]
+                paths.append(FlowWalk(tuple(arcs), tuple(walk_v + [w]), subtract(arcs, surplus())))
+                paths_left = surplus() > EPS_DEC
+                break
             if w in pos:
-                j = pos[w]
-                loop = walk_a[j:] + [a]
-                weight = subtract(loop)
-                cycles.append(FlowWalk(tuple(loop), tuple(walk_v[j:] + [w]), weight))
-                closed = True
-            else:
-                walk_v.append(w)
-                walk_a.append(a)
-                pos[w] = len(walk_v) - 1
-        if not closed:
-            break
+                loop = walk_a[pos[w]:] + [a]
+                cycles.append(FlowWalk(tuple(loop), tuple(walk_v[pos[w]:] + [w]), subtract(loop)))
+                break
+            walk_v.append(w)
+            walk_a.append(a)
+            pos[w] = len(walk_v) - 1
         if len(paths) + len(cycles) > num_arcs + 1:
             raise InternalError("decomposition exceeded the arc-count bound")
 
@@ -176,11 +135,12 @@ def decompose(inst: Instance, sol: FractionalSolution) -> Decomposition:
     return Decomposition(inst, sol.digraph, tuple(all_paths), tuple(all_cycles))
 
 
-def path_mass(inst: Instance, dec: Decomposition) -> PathMass:
-    """Accumulate path weights per vertex; the sink of each commodity stays zero."""
+def path_mass(inst: Instance, dec: Decomposition) -> np.ndarray:
+    """(k, n) weight of the simple paths of commodity i through vertex v; the
+    sink of each commodity stays zero."""
     values = np.zeros((inst.k, inst.graph.n))
     for i in range(inst.k):
         for p in dec.paths[i]:
             for v in p.vertices[:-1]:  # last vertex is the sink
                 values[i, v] += p.weight
-    return PathMass(values)
+    return values

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InstanceError
-from .graphs import Graph, bfs_distances, is_connected
+from .graphs import Graph, is_connected
 
 
 @dataclass(frozen=True)
@@ -100,23 +100,6 @@ class Solution:
 
 
 AnyInstance = Union[Instance, OrderedInstance]
-
-
-def check_feasible(inst: Instance) -> bool:
-    """True iff every s_i reaches t_i and every vertex reaches some source.
-
-    Always true once the graph is connected; kept as defense-in-depth for
-    callers that bypass instance loading.
-    """
-    reach_any = [False] * inst.graph.n
-    for s, t in inst.commodities:
-        dist = bfs_distances(inst.graph, s)
-        if dist[t] < 0:
-            return False
-        for v in range(inst.graph.n):
-            if dist[v] >= 0:
-                reach_any[v] = True
-    return all(reach_any)
 
 
 def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, str | None]:

@@ -17,7 +17,7 @@ leaves all guarantees driven by the derived outflow quantities intact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
@@ -69,7 +69,7 @@ class LpModel:
         self._ge_rows: list[tuple[dict[int, float], float]] = []
         self.cuts: list[CutConstraint] = []
         self._cut_keys: set[tuple[int, int, frozenset[int]]] = set()
-        self._build_static()
+        self._add_static_rows()
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         costs = np.zeros(self.num_columns)
@@ -109,7 +109,7 @@ class LpModel:
             np.array(starts, dtype=np.int32), np.array(indices, dtype=np.int32), np.array(values),
         ))
 
-    def _build_static(self) -> None:
+    def _add_static_rows(self) -> None:
         inst = self.instance
         dig = self.digraph
         for i, (s, t) in enumerate(inst.commodities):
@@ -208,8 +208,8 @@ class LpModel:
 class FractionalSolution:
     """LP optimum: per-commodity arc flows plus coverage amounts.
 
-    `z(i, v)` and `z_total(v)` are the derived outflows used throughout the
-    solvers; `cover` holds the capped coverage variables the cut rows act on.
+    `cover` holds the capped coverage variables the cut rows act on;
+    `outflow_matrix` gives the per-commodity outflow of every vertex.
     """
 
     instance: Instance
@@ -219,13 +219,6 @@ class FractionalSolution:
     objective: float
     cuts: tuple[CutConstraint, ...] = field(default=())
 
-    def z(self, i: int, v: int) -> float:
-        cols = list(self.digraph.out_arcs[v])
-        return float(self.flows[i, cols].sum()) if cols else 0.0
-
-    def z_total(self, v: int) -> float:
-        return sum(self.z(i, v) for i in range(self.instance.k))
-
     def outflow_matrix(self) -> np.ndarray:
         n = self.instance.graph.n
         out = np.zeros((self.instance.k, n))
@@ -234,11 +227,6 @@ class FractionalSolution:
             if cols:
                 out[:, v] = self.flows[:, cols].sum(axis=1)
         return out
-
-
-def build_static(inst: Instance) -> LpModel:
-    """Model with conservation, source/sink, coverage-cap and coverage rows."""
-    return LpModel(inst)
 
 
 def _flow_across(sol: FractionalSolution, i: int, members: frozenset[int]) -> float:
@@ -284,7 +272,7 @@ def solve_lp(
     `on_round` (if given) observes every iterate and the cuts it produced,
     which is how the audit tests replay separation soundness.
     """
-    model = build_static(inst)
+    model = LpModel(inst)
     prev_obj = -np.inf
     for _ in range(MAX_CUT_ROUNDS):
         flows, cover, obj = model.solve()

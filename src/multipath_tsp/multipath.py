@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Decomposition, PathMass, decompose, path_mass
+from .decomposition import Decomposition, decompose, path_mass
 from .errors import InternalError
 from .graphs import Graph
 from .instances import Instance, Solution, validate_solution
@@ -55,18 +55,29 @@ def make_report(sampling: int, reconnection: int, parity: int, lp_objective: flo
 
 @dataclass(frozen=True, eq=False)
 class SolverPlan:
-    """LP optimum and decomposition, reusable across many sampling trials."""
+    """LP optimum and decomposition, reusable across every solver run on
+    the instance: sampling trials, the derandomized pass and the combiner."""
 
     instance: Instance
     lp: FractionalSolution
     decomposition: Decomposition
-    mass: PathMass
+    mass: np.ndarray  # (k, n) path mass, see `path_mass`
 
 
 def prepare(inst: Instance) -> SolverPlan:
     lp_sol = solve_lp(inst)
     dec = decompose(inst, lp_sol)
     return SolverPlan(inst, lp_sol, dec, path_mass(inst, dec))
+
+
+def _state(dec: Decomposition, chosen: list[int | None]) -> SamplerState:
+    """Walks for one chosen path index per commodity; None keeps a singleton."""
+    walks = [
+        [s] if j is None else list(dec.paths[i][j].vertices)
+        for i, ((s, _), j) in enumerate(zip(dec.instance.commodities, chosen))
+    ]
+    covered = {v for walk in walks for v in walk}
+    return SamplerState(tuple(chosen), walks, covered, set(range(dec.instance.graph.n)) - covered)
 
 
 def sample_paths(dec: Decomposition, seed: int) -> SamplerState:
@@ -77,27 +88,21 @@ def sample_paths(dec: Decomposition, seed: int) -> SamplerState:
     probability equal to its weight. Deterministic given the seed.
     """
     rng = random.Random(seed)
-    inst = dec.instance
     chosen: list[int | None] = []
-    walks: list[list[int]] = []
-    for i, (s, t) in enumerate(inst.commodities):
-        if not dec.paths[i]:
+    for paths in dec.paths:
+        if not paths:
             chosen.append(None)
-            walks.append([s])
             continue
         y = rng.random()
         acc = 0.0
-        idx = len(dec.paths[i]) - 1
-        for j, p in enumerate(dec.paths[i]):
+        idx = len(paths) - 1
+        for j, p in enumerate(paths):
             acc += p.weight
             if y < acc:
                 idx = j
                 break
         chosen.append(idx)
-        walks.append(list(dec.paths[i][idx].vertices))
-    covered = {v for walk in walks for v in walk}
-    pending = set(range(inst.graph.n)) - covered
-    return SamplerState(tuple(chosen), walks, covered, pending)
+    return _state(dec, chosen)
 
 
 def attachment_order(graph: Graph, covered: set[int]) -> list[tuple[int, int]]:
@@ -141,7 +146,8 @@ def reconnect(inst: Instance, state: SamplerState) -> SamplerState:
     return SamplerState(state.chosen, walks, covered, set())
 
 
-def _finish(inst: Instance, plan: SolverPlan, state: SamplerState) -> tuple[Solution, CostReport]:
+def _finish(plan: SolverPlan, state: SamplerState) -> tuple[Solution, CostReport]:
+    inst = plan.instance
     sampling = sum(len(w) - 1 for w in state.walks)
     done = reconnect(inst, state)
     reconnection = 2 * len(state.pending)
@@ -155,22 +161,23 @@ def _finish(inst: Instance, plan: SolverPlan, state: SamplerState) -> tuple[Solu
 def run_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport]:
     """One sampling + reconnection pass on a prepared plan."""
     state = sample_paths(plan.decomposition, seed)
-    return _finish(plan.instance, plan, state)
+    return _finish(plan, state)
 
 
 def solve_randomized(inst: Instance, seed: int) -> tuple[Solution, CostReport]:
     return run_trial(prepare(inst), seed)
 
 
-def _suffix_products(mass: PathMass, k: int, n: int) -> np.ndarray:
+def _suffix_products(mass: np.ndarray) -> np.ndarray:
     """sp[h, v] = product over commodities i >= h of (1 - path mass of v)."""
+    k, n = mass.shape
     sp = np.ones((k + 1, n))
     for h in range(k - 1, -1, -1):
-        sp[h] = sp[h + 1] * (1.0 - mass.values[h])
+        sp[h] = sp[h + 1] * (1.0 - mass[h])
     return sp
 
 
-def derandomize_choices(dec: Decomposition, mass: PathMass) -> tuple[list[int | None], list[float]]:
+def derandomize_choices(dec: Decomposition, mass: np.ndarray) -> tuple[list[int | None], list[float]]:
     """Fix one path per commodity by minimizing the conditional expected cost.
 
     After fixing commodities 1..h the potential is: edges of fixed paths,
@@ -183,7 +190,7 @@ def derandomize_choices(dec: Decomposition, mass: PathMass) -> tuple[list[int | 
     inst = dec.instance
     n = inst.graph.n
     k = inst.k
-    sp = _suffix_products(mass, k, n)
+    sp = _suffix_products(mass)
     expected_len = [sum(p.weight * len(p.arcs) for p in dec.paths[i]) for i in range(k)]
     tail = [0.0] * (k + 1)
     for i in range(k - 1, -1, -1):
@@ -216,21 +223,16 @@ def derandomize_choices(dec: Decomposition, mass: PathMass) -> tuple[list[int | 
     return choices, trace
 
 
-def solve_derandomized(inst: Instance) -> tuple[Solution, CostReport]:
+def run_derandomized(plan: SolverPlan) -> tuple[Solution, CostReport]:
     """Deterministic variant; output cost is at most 2 * LP + EPS_OBJ."""
-    plan = prepare(inst)
-    choices, trace = derandomize_choices(plan.decomposition, plan.mass)
-    walks: list[list[int]] = []
-    for i, (s, t) in enumerate(inst.commodities):
-        if choices[i] is None:
-            walks.append([s])
-        else:
-            walks.append(list(plan.decomposition.paths[i][choices[i]].vertices))
-    covered = {v for walk in walks for v in walk}
-    state = SamplerState(tuple(choices), walks, covered, set(range(inst.graph.n)) - covered)
-    sol, report = _finish(inst, plan, state)
+    choices, _ = derandomize_choices(plan.decomposition, plan.mass)
+    sol, report = _finish(plan, _state(plan.decomposition, choices))
     if report.total > 2.0 * plan.lp.objective + EPS_OBJ:
         raise InternalError(
             f"derandomized cost {report.total} exceeds twice the LP value {plan.lp.objective}"
         )
     return sol, report
+
+
+def solve_derandomized(inst: Instance) -> tuple[Solution, CostReport]:
+    return run_derandomized(prepare(inst))

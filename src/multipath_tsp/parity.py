@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from .graphs import Graph, all_pairs_distances, shortest_path
-from .lp import FractionalSolution
 
 
 @dataclass
@@ -34,14 +33,6 @@ class EdgeMultiset:
         for u, v in zip(vertices, vertices[1:]):
             self.add(u, v)
 
-    def degree(self, v: int) -> int:
-        total = 0
-        for e, c in self.counts.items():
-            a, b = self.graph.edges[e]
-            if v == a or v == b:
-                total += c
-        return total
-
     def degrees(self) -> list[int]:
         deg = [0] * self.graph.n
         for e, c in self.counts.items():
@@ -49,9 +40,6 @@ class EdgeMultiset:
             deg[a] += c
             deg[b] += c
         return deg
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def copy(self) -> "EdgeMultiset":
         return EdgeMultiset(self.graph, dict(self.counts))
@@ -79,10 +67,12 @@ def odd_vertices(m: EdgeMultiset) -> frozenset[int]:
 def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
     """Cost-minimal edge set with odd degree exactly on `odd`.
 
-    Requires an even target set in a connected graph. `dists` may carry a
+    Requires an even set of distinct vertices in a connected graph. `dists` may carry a
     precomputed BFS distance matrix to avoid recomputation in hot loops.
     """
     odd = tuple(sorted(odd))
+    if len(set(odd)) != len(odd):
+        raise ValueError("repeated vertex: the target set of a join must be a set")
     if len(odd) % 2 == 1:
         raise ValueError("odd cardinality: the target set of a join must be even")
     if not odd:
@@ -133,8 +123,3 @@ def tjoin_brute_force(g: Graph, odd) -> tuple[int, frozenset[int]]:
         raise ValueError("no join exists for the given target set")
     return best_size, frozenset(e for e in range(m) if best_subset >> e & 1)
 
-
-def tjoin_fractional_bound(sol: FractionalSolution) -> float:
-    """Half the LP value: an upper bound on the minimum join cost for any
-    parity target arising from the solvers' walk unions."""
-    return sol.objective / 2.0

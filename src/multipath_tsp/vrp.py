@@ -17,7 +17,7 @@ from typing import Callable
 from .errors import InstanceError, InternalError
 from .graphs import bfs_distances, shortest_path
 from .instances import Instance, Solution, validate_solution
-from .multipath import solve_derandomized
+from .multipath import SolverPlan, prepare, run_derandomized
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def distance_sum(inst: Instance) -> int:
     return total
 
 
-def solve_combiner(inst: Instance, vrp_alg: VrpSolver | None = None) -> tuple[Solution, CombinerReport]:
+def run_combiner(plan: SolverPlan, vrp_alg: VrpSolver | None = None) -> tuple[Solution, CombinerReport]:
     """Best of the derandomized path solver and the depot-baseline branch.
 
     The depot branch solves the instance with every sink moved onto its
@@ -130,8 +130,9 @@ def solve_combiner(inst: Instance, vrp_alg: VrpSolver | None = None) -> tuple[So
     each walk. `vrp_alg` is injectable so a stronger depot solver can be
     slotted in; the default is the doubled spanning forest.
     """
+    inst = plan.instance
     alg = vrp_alg or solve_vrp_forest
-    sol1, _ = solve_derandomized(inst)
+    sol1, _ = run_derandomized(plan)
 
     unique: list[int] = []
     first_for_depot: dict[int, int] = {}
@@ -166,3 +167,7 @@ def solve_combiner(inst: Instance, vrp_alg: VrpSolver | None = None) -> tuple[So
         distance_sum=d_sum,
     )
     return (sol1 if sol1.cost <= sol2.cost else sol2), report
+
+
+def solve_combiner(inst: Instance, vrp_alg: VrpSolver | None = None) -> tuple[Solution, CombinerReport]:
+    return run_combiner(prepare(inst), vrp_alg)

@@ -19,10 +19,10 @@ from multipath_tsp.exact import brute_force_cut_check, exact_opt, reconstruct_wa
 from multipath_tsp.graphs import Graph
 from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import solve_lp
-from multipath_tsp.multipath import prepare, run_trial, solve_derandomized
+from multipath_tsp.multipath import prepare, run_derandomized, run_trial
 from multipath_tsp.ordered import prepare_ordered, run_ordered_trial, validate_ordered
 from multipath_tsp.parity import min_tjoin, tjoin_brute_force
-from multipath_tsp.vrp import solve_combiner
+from multipath_tsp.vrp import run_combiner
 
 from conftest import FIG1_EDGES, FIG1_EIGHT_EDGE_SOLUTION
 
@@ -86,7 +86,7 @@ def test_criterion_02_deterministic_two_approximation(suite, instances_300):
     for inst in instances_300:
         plan = prepare(inst)
         suite["lp_solutions"].append((inst, plan.lp))
-        sol, rep = solve_derandomized(inst)
+        sol, rep = run_derandomized(plan)
         assert rep.total <= 2 * plan.lp.objective + 1e-5, (inst, rep)
         ok, why = validate_solution(inst, sol)
         assert ok, why
@@ -256,10 +256,11 @@ def test_criterion_09_combiner():
     checked_depot = 0
     for i in range(100):
         inst = generate(cfg_depot, 90_000 + i) if i % 10 < 3 else generate(cfg_mixed, 91_000 + i)
-        sol, rep = solve_combiner(inst)
+        plan = prepare(inst)
+        sol, rep = run_combiner(plan)
         ok, why = validate_solution(inst, sol)
         assert ok, (i, why)
-        d_sol, _ = solve_derandomized(inst)
+        d_sol, _ = run_derandomized(plan)
         assert sol.cost <= d_sol.cost, (i, sol.cost, d_sol.cost)
         if all(s == t for s, t in inst.commodities):
             assert sol.cost == 2 * (inst.graph.n - inst.k), (i, sol.cost)

@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from multipath_tsp.bench import BenchConfig, export_dot, format_table, generate, report_json, run_bench
+import multipath_tsp.multipath as multipath
+from multipath_tsp.bench import BenchConfig, bench_row, export_dot, format_table, generate, report_json, run_bench
 from multipath_tsp.cli import main
+from multipath_tsp.errors import GenerationError
 from multipath_tsp.exact import exact_opt, reconstruct_walks
+from multipath_tsp.graphs import is_connected
 from multipath_tsp.instances import (
     Instance,
     OrderedInstance,
-    check_feasible,
     load_instance,
     load_solution,
 )
@@ -31,7 +33,7 @@ class TestGenerate:
         cfg = BenchConfig(mode="multipath", n_min=10, n_max=10, k_min=1, k_max=3)
         for i in range(1000):
             inst = generate(cfg, i)
-            assert check_feasible(inst)
+            assert is_connected(inst.graph)
 
     def test_deterministic_per_seed(self):
         cfg = BenchConfig(mode="ordered", n_min=4, n_max=9, k_min=2, k_max=4)
@@ -42,7 +44,7 @@ class TestGenerate:
         cfg = BenchConfig(mode="multipath", n_min=6, n_max=6, edge_prob=0.5)
         for i in range(20):
             inst = generate(cfg, i)
-            assert check_feasible(inst)
+            assert is_connected(inst.graph)
 
     def test_vrp_mode_distinct_depots(self):
         cfg = BenchConfig(mode="vrp", n_min=5, n_max=8, k_min=2, k_max=4)
@@ -51,8 +53,31 @@ class TestGenerate:
             assert all(s == t for s, t in inst.commodities)
             assert len({s for s, _ in inst.commodities}) == inst.k
 
+    @pytest.mark.parametrize("mode", ["multipath", "ordered", "vrp"])
+    def test_empty_ranges_raise_generation_error(self, mode):
+        with pytest.raises(GenerationError):
+            generate(BenchConfig(mode=mode, n_min=5, n_max=3), 0)
+        # at n = 3 every mode's commodity, terminal or depot range is empty
+        with pytest.raises(GenerationError):
+            generate(BenchConfig(mode=mode, n_min=3, n_max=3, k_min=5, k_max=2), 0)
+
 
 class TestRunBench:
+    def test_multipath_row_solves_the_lp_once(self, monkeypatch):
+        calls = []
+        solve_lp = multipath.solve_lp
+
+        def counted(inst, *args, **kwargs):
+            calls.append(inst)
+            return solve_lp(inst, *args, **kwargs)
+
+        monkeypatch.setattr(multipath, "solve_lp", counted)
+        cfg = BenchConfig(mode="multipath", count=1, n_min=6, n_max=6, k_min=2, k_max=2, seed=4, trials=3)
+        row = bench_row(cfg, 0)
+        assert row["error"] is None
+        assert {"cost_derandomized", "cost_combiner", "mean_randomized"} <= set(row)
+        assert len(calls) == 1
+
     def test_multipath_report(self):
         cfg = BenchConfig(mode="multipath", count=6, n_min=3, n_max=8, seed=2, trials=5)
         report = run_bench(cfg)
@@ -226,12 +251,26 @@ class TestCli:
         assert out["cost"] == 3
         assert main(["tjoin", "--input", str(DATA / "fig1.json"), "--odd", "0,2,4"]) == 2
 
+    @pytest.mark.parametrize("odd", ["a,b", "0,1,1,2", "2,2"])
+    def test_tjoin_bad_odd_set_is_exit_two(self, odd, capsys):
+        assert main(["tjoin", "--input", str(DATA / "fig1.json"), "--odd", odd]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n-min", "5", "--n-max", "3"],
+        ["gen", "--mode", "vrp", "--k-min", "5", "--k-max", "6", "--n-min", "3", "--n-max", "3"],
+        ["bench", "--count", "1", "--k-min", "5", "--k-max", "2"],
+    ])
+    def test_empty_generation_range_is_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: generation failed: empty")
+
     def test_gen_then_solve(self, tmp_path, capsys):
         out_file = tmp_path / "inst.json"
         assert main(["gen", "--mode", "multipath", "--n-min", "5", "--n-max", "8",
                      "--seed", "3", "--output", str(out_file)]) == 0
         inst = load_instance(out_file.read_text())
-        assert check_feasible(inst)
+        assert is_connected(inst.graph)
         assert main(["solve-multipath", "--input", str(out_file), "--derandomize"]) == 0
 
     def test_bench_command(self, tmp_path, capsys):

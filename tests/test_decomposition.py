@@ -40,13 +40,13 @@ def assert_invariants(inst, sol, dec):
     pm = path_mass(inst, dec)
     out = sol.outflow_matrix()
     for i, (s, t) in enumerate(inst.commodities):
-        assert pm.of(i, t) == 0.0
+        assert pm[i, t] == 0.0
         for v in range(inst.graph.n):
-            assert -1e-12 <= pm.of(i, v) <= out[i, v] + EPS_DEC
-            assert pm.of(i, v) <= 1.0 + EPS_DEC
+            assert -1e-12 <= pm[i, v] <= out[i, v] + EPS_DEC
+            assert pm[i, v] <= 1.0 + EPS_DEC
         # expected sampled length telescopes into the per-vertex masses
         expected_len = sum(p.weight * len(p.arcs) for p in dec.paths[i])
-        assert sum(pm.of(i, v) for v in range(inst.graph.n)) == pytest.approx(expected_len, abs=EPS_DEC)
+        assert sum(pm[i, v] for v in range(inst.graph.n)) == pytest.approx(expected_len, abs=EPS_DEC)
 
 
 class TestHandFlows:
@@ -120,13 +120,13 @@ class TestPathMass:
         flows[0, dig.arc_id(1, 2)] = 1.0
         sol = FractionalSolution(path3, dig, flows, np.zeros((1, 3)), 2.0)
         pm = path_mass(path3, decompose(path3, sol))
-        assert pm.of(0, 0) == pytest.approx(1.0)
-        assert pm.of(0, 1) == pytest.approx(1.0)
-        assert pm.of(0, 2) == 0.0
+        assert pm[0, 0] == pytest.approx(1.0)
+        assert pm[0, 1] == pytest.approx(1.0)
+        assert pm[0, 2] == 0.0
 
     def test_fig1_lower_left_inner_vertex(self, fig1, fig1_lp):
         pm = path_mass(fig1, decompose(fig1, fig1_lp))
-        assert pm.of(0, 8) == pytest.approx(0.5)  # only the half-weight path passes through
+        assert pm[0, 8] == pytest.approx(0.5)  # only the half-weight path passes through
 
     def test_matches_direct_resummation(self, fig1, fig1_lp):
         dec = decompose(fig1, fig1_lp)
@@ -134,9 +134,7 @@ class TestPathMass:
         for i, (_, t) in enumerate(fig1.commodities):
             for v in range(10):
                 expect = sum(p.weight for p in dec.paths[i] if v in p.vertices and v != t)
-                assert pm.of(i, v) == pytest.approx(expect, abs=1e-12)
-        for v in range(10):
-            assert pm.total(v) == pytest.approx(sum(pm.of(i, v) for i in range(2)), abs=1e-12)
+                assert pm[i, v] == pytest.approx(expect, abs=1e-12)
 
 
 class TestOnLpSolutions:

@@ -8,7 +8,6 @@ from multipath_tsp.instances import (
     Instance,
     OrderedInstance,
     Solution,
-    check_feasible,
     load_instance,
     load_solution,
     save_instance,
@@ -100,14 +99,6 @@ class TestOrderedDerivation:
     def test_two_terminals_allowed(self):
         inst = OrderedInstance(Graph(2, [[0, 1]]), (0, 1))
         assert inst.commodities == ((0, 1), (1, 0))
-
-
-class TestFeasibility:
-    def test_fig1(self, fig1):
-        assert check_feasible(fig1)
-
-    def test_singleton(self):
-        assert check_feasible(Instance(Graph(1, []), ((0, 0),)))
 
 
 class TestValidation:

@@ -10,7 +10,7 @@ from multipath_tsp.lp import (
     EPS_OBJ,
     EPS_SEP,
     FractionalSolution,
-    build_static,
+    LpModel,
     separate,
     solve_lp,
 )
@@ -28,26 +28,26 @@ def crossing_flow(sol, i, members):
 
 class TestModelShape:
     def test_fig1_flow_columns(self, fig1):
-        model = build_static(fig1)
+        model = LpModel(fig1)
         assert model.num_flow_columns == 2 * 34
         # one coverage column per commodity and non-sink vertex
         assert model.num_columns == 68 + 2 * 8
 
     def test_single_vertex_no_columns(self):
         inst = Instance(Graph(1, []), ((0, 0),))
-        model = build_static(inst)
+        model = LpModel(inst)
         assert model.num_columns == 0
         assert solve_lp(inst).objective == 0.0
 
     def test_depot_commodity_has_no_endpoint_rows(self):
         inst = Instance(Graph(2, [[0, 1]]), ((0, 0),))
-        model = build_static(inst)
+        model = LpModel(inst)
         # conservation at both vertices, one coverage cap, one coverage row
         eq_rows = len(model._eq_rows)
         assert eq_rows == 2
 
     def test_dump_names(self, fig1):
-        model = build_static(fig1)
+        model = LpModel(fig1)
         text = model.dump_text()
         assert "x_0_0_4" in text
         assert "x_1_4_0" in text
@@ -161,7 +161,7 @@ class TestCuttingPlaneLoop:
         satisfy every row kept in `_eq_rows` and `_ge_rows`, and a repeated
         cut must be refused without moving the optimum."""
         for inst in [fig1] + random_instances("multipath", 15, seed=5, n_max=9):
-            model = build_static(inst)
+            model = LpModel(inst)
             for _ in range(50):
                 flows, cover, obj = model.solve()
                 x = np.zeros(model.num_columns)
@@ -195,7 +195,7 @@ class TestCuttingPlaneLoop:
         from scipy.optimize import linprog
 
         def full_value(inst):
-            model = build_static(inst)
+            model = LpModel(inst)
             ncol = model.num_columns
             if ncol == 0:
                 return 0.0

@@ -10,6 +10,7 @@ from multipath_tsp.multipath import (
     derandomize_choices,
     prepare,
     reconnect,
+    run_derandomized,
     run_trial,
     sample_paths,
     solve_derandomized,
@@ -162,7 +163,7 @@ class TestDerandomized:
         for v in set(range(10)) - fig1.terminals:
             prod = 1.0
             for i in range(2):
-                prod *= 1.0 - pm.of(i, v)
+                prod *= 1.0 - pm[i, v]
             bound += 2.0 * prod
         assert trace[0] == pytest.approx(expected_sampling + bound, abs=1e-9)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
@@ -174,8 +175,12 @@ class TestDerandomized:
         for inst in random_instances("multipath", 20, seed=29, n_max=10):
             plan = prepare(inst)
             choices, trace = derandomize_choices(plan.decomposition, plan.mass)
-            _, report = solve_derandomized(inst)
+            _, report = run_derandomized(plan)
             assert report.total == pytest.approx(trace[-1], abs=1e-6)
+
+    def test_plan_run_matches_instance_wrapper(self, fig1):
+        for inst in [fig1] + random_instances("multipath", 20, seed=43, n_max=10):
+            assert run_derandomized(prepare(inst)) == solve_derandomized(inst)
 
     def test_sampling_cost_identity(self):
         for inst in random_instances("multipath", 20, seed=31, n_max=10):
@@ -183,5 +188,5 @@ class TestDerandomized:
             pm = plan.mass
             for i in range(inst.k):
                 expected = sum(p.weight * len(p.arcs) for p in plan.decomposition.paths[i])
-                telescoped = sum(pm.of(i, v) for v in range(inst.graph.n))
+                telescoped = sum(pm[i, v] for v in range(inst.graph.n))
                 assert telescoped == pytest.approx(expected, abs=1e-6)

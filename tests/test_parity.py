@@ -3,13 +3,11 @@ import random
 import pytest
 
 from multipath_tsp.graphs import Graph, bfs_distances
-from multipath_tsp.lp import solve_lp
 from multipath_tsp.parity import (
     EdgeMultiset,
     min_tjoin,
     odd_vertices,
     tjoin_brute_force,
-    tjoin_fractional_bound,
 )
 
 
@@ -73,6 +71,12 @@ class TestMinJoin:
         with pytest.raises(ValueError):
             min_tjoin(path3.graph, (0,))
 
+    def test_rejects_repeated_vertex(self, path3):
+        with pytest.raises(ValueError):
+            min_tjoin(path3.graph, (0, 1, 1, 2))
+        with pytest.raises(ValueError):
+            min_tjoin(path3.graph, (1, 1))
+
     def test_parity_correction(self, fig1):
         rng = random.Random(3)
         for _ in range(25):
@@ -113,11 +117,3 @@ class TestMinJoin:
                 return dists[a][best] + greedy_sum(rest)
             assert join.cost <= greedy_sum(list(odd))
 
-
-class TestFractionalBound:
-    def test_fig1(self, fig1_lp):
-        assert tjoin_fractional_bound(fig1_lp) == pytest.approx(4.0)
-
-    def test_half_of_objective(self, path3):
-        sol = solve_lp(path3)
-        assert tjoin_fractional_bound(sol) == pytest.approx(sol.objective / 2)

@@ -4,8 +4,8 @@ from multipath_tsp.errors import InstanceError
 from multipath_tsp.exact import exact_opt
 from multipath_tsp.graphs import Graph, bfs_distances
 from multipath_tsp.instances import Instance, validate_solution
-from multipath_tsp.multipath import solve_derandomized
-from multipath_tsp.vrp import VrpInstance, distance_sum, solve_combiner, solve_vrp_forest
+from multipath_tsp.multipath import prepare, run_derandomized
+from multipath_tsp.vrp import VrpInstance, distance_sum, run_combiner, solve_combiner, solve_vrp_forest
 
 from conftest import random_instances
 
@@ -91,11 +91,16 @@ class TestCombiner:
 
     def test_never_worse_than_derandomized(self):
         for inst in random_instances("multipath", 30, seed=53, n_max=10):
-            sol, report = solve_combiner(inst)
-            d_sol, _ = solve_derandomized(inst)
+            plan = prepare(inst)
+            sol, report = run_combiner(plan)
+            d_sol, _ = run_derandomized(plan)
             assert sol.cost <= d_sol.cost
             ok, why = validate_solution(inst, sol)
             assert ok, why
+
+    def test_plan_run_matches_instance_wrapper(self, fig1):
+        for inst in [fig1] + random_instances("multipath", 20, seed=47, n_max=10):
+            assert run_combiner(prepare(inst)) == solve_combiner(inst)
 
     def test_duplicate_sources_collapse(self, fig1):
         inst = Instance(fig1.graph, ((0, 2), (0, 3)))
