@@ -14,7 +14,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
-from .errors import GenerationError, OracleLimitError, ToolkitError
+from .errors import GenerationError, InstanceError, OracleLimitError, ToolkitError
 from .exact import exact_opt
 from .graphs import Graph, is_connected
 from .instances import AnyInstance, Instance, OrderedInstance, Solution, load_instance, validate_solution
@@ -282,6 +282,8 @@ def export_dot(inst: AnyInstance, sol) -> str:
     counts: dict[int, int] = {}
     for i, walk in enumerate(sol.walks):
         for u, v in zip(walk, walk[1:]):
+            if not g.has_edge(u, v):
+                raise InstanceError("schema", f"walk {i} steps from {u} to {v}, which is not an edge")
             e = g.edge_id(u, v)
             counts[e] = counts.get(e, 0) + 1
             used_by = usage.setdefault(e, [])

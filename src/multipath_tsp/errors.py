@@ -17,6 +17,10 @@ class InstanceError(ToolkitError):
         super().__init__(message)
         self.code = code
 
+    def __reduce__(self):
+        # `args` holds only the message; pickling (e.g. out of a bench worker) needs the code too
+        return type(self), (self.code, str(self))
+
 
 class LpError(ToolkitError):
     """LP solve failed (backend infeasibility or cut-round limit)."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs, kHighsInf
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kHighsInf
 
 from .errors import InternalError, LpError
 from .graphs import BidirectedGraph, CapacitatedNetwork, min_cut
@@ -41,35 +41,40 @@ class CutConstraint:
     members: frozenset[int]
 
 
-class LpModel:
-    """Row/column store mirrored into one persistent HiGHS model.
+Row = tuple[list[int], list[float], float, float]  # (columns, coefficients, lower, upper)
 
+
+def _leaving_arcs(dig: BidirectedGraph, members: frozenset[int]) -> list[int]:
+    """Arcs (u, w) with u in members and w outside, in arc order."""
+    return [a for a, (u, w) in enumerate(dig.arcs) if u in members and w not in members]
+
+
+class LpModel:
+    """The flow LP, whose one persistent HiGHS model is its only row store.
+
+    Column i*num_arcs + a is the flow of commodity i on arc a; the coverage
+    amounts z[i, v] follow, commodity by commodity, over `cover_vertices`.
+    Rows keep a fixed order, which the dual simplex follows (another order
+    can land on another optimal vertex): the static rows, then the cuts in
+    the order they were added.
     Each cut row is appended to the same HiGHS handle, so every round's dual
     simplex warm-starts from the previous round's basis. The model is
     per-solve mutable state: unlike the immutable `FractionalSolution` it
-    returns, it is not meant to be shared across workers. `_eq_rows` and
-    `_ge_rows` keep the rows in Python for `dump_text` and the audits.
+    returns, it is not meant to be shared across workers.
     """
 
     def __init__(self, inst: Instance):
         self.instance = inst
         self.digraph = BidirectedGraph(inst.graph)
-        n = inst.graph.n
-        k = inst.k
-        num_arcs = self.digraph.num_arcs
-        self.num_flow_columns = k * num_arcs
+        n, k = inst.graph.n, inst.k
+        self.num_flow_columns = k * self.digraph.num_arcs
         self.cover_vertices = tuple(v for v in range(n) if v not in inst.sinks)
-        self._cover_col = {
-            (i, v): self.num_flow_columns + i * len(self.cover_vertices) + j
-            for i in range(k)
-            for j, v in enumerate(self.cover_vertices)
-        }
         self.num_columns = self.num_flow_columns + k * len(self.cover_vertices)
-        self._eq_rows: list[tuple[dict[int, float], float]] = []
-        self._ge_rows: list[tuple[dict[int, float], float]] = []
+        self._cover_columns = np.full((k, n), -1)  # -1 at sinks
+        cover_range = np.arange(self.num_flow_columns, self.num_columns)
+        self._cover_columns[:, self.cover_vertices] = cover_range.reshape(k, -1)
         self.cuts: list[CutConstraint] = []
-        self._cut_keys: set[tuple[int, int, frozenset[int]]] = set()
-        self._add_static_rows()
+        self._cut_set: set[CutConstraint] = set()
         self._highs = _Highs()
         self._highs.setOptionValue("output_flag", False)
         costs = np.zeros(self.num_columns)
@@ -79,84 +84,81 @@ class LpModel:
             self.num_columns, costs, np.zeros(self.num_columns), np.full(self.num_columns, kHighsInf),
             0, no_entries, np.zeros(0, dtype=np.int32), np.zeros(0),
         ))
-        self._pass_rows(self._eq_rows, equality=True)
-        self._pass_rows(self._ge_rows, equality=False)
-
-    def flow_col(self, i: int, a: int) -> int:
-        return i * self.digraph.num_arcs + a
-
-    def cover_col(self, i: int, v: int) -> int:
-        return self._cover_col[(i, v)]
+        self._add_rows(self._static_rows())
 
     @staticmethod
     def _check(status: HighsStatus) -> None:
         if status == HighsStatus.kError:
             raise InternalError("HiGHS rejected a model change")
 
-    def _pass_rows(self, rows: list[tuple[dict[int, float], float]], equality: bool) -> None:
-        """Hand rows to HiGHS in CSR form: lower = b, upper = b or +inf."""
+    def _add_rows(self, rows: list[Row]) -> None:
+        """Append rows to HiGHS in CSR form."""
         starts: list[int] = []
         indices: list[int] = []
         values: list[float] = []
-        for coefs, _ in rows:
+        for cols, coefs, _, _ in rows:
             starts.append(len(indices))
-            indices.extend(coefs)
-            values.extend(coefs.values())
-        lower = np.array([b for _, b in rows], dtype=float)
-        upper = lower if equality else np.full(len(rows), kHighsInf)
+            indices += cols
+            values += coefs
+        lower = np.array([r[2] for r in rows], dtype=float)
+        upper = np.array([r[3] for r in rows], dtype=float)
         self._check(self._highs.addRows(
             len(rows), lower, upper, len(indices),
             np.array(starts, dtype=np.int32), np.array(indices, dtype=np.int32), np.array(values),
         ))
 
-    def _add_static_rows(self) -> None:
+    def _cover_row(self, i: int, v: int, arcs: list[int] | tuple[int, ...]) -> Row:
+        """x_i(arcs) - z[i, v] >= 0."""
+        base = i * self.digraph.num_arcs
+        cols = [int(self._cover_columns[i, v])] + [base + a for a in arcs]
+        return cols, [-1.0] + [1.0] * len(arcs), 0.0, kHighsInf
+
+    def _static_rows(self) -> list[Row]:
+        """Conservation, source and sink rows per commodity, then z <= outflow, then coverage."""
         inst = self.instance
         dig = self.digraph
+
+        def balance(i: int, plus: tuple[int, ...], minus: tuple[int, ...], b: float) -> Row:
+            base = i * dig.num_arcs
+            return [base + a for a in plus + minus], [1.0] * len(plus) + [-1.0] * len(minus), b, b
+
+        rows: list[Row] = []
         for i, (s, t) in enumerate(inst.commodities):
-            skip = {s, t} - ({s} & {t})  # symmetric difference
             for v in range(inst.graph.n):
-                if v in skip:
-                    continue
-                coefs: dict[int, float] = {}
-                for a in dig.out_arcs[v]:
-                    coefs[self.flow_col(i, a)] = coefs.get(self.flow_col(i, a), 0.0) + 1.0
-                for a in dig.in_arcs[v]:
-                    coefs[self.flow_col(i, a)] = coefs.get(self.flow_col(i, a), 0.0) - 1.0
-                if coefs:
-                    self._eq_rows.append((coefs, 0.0))
+                if (s == t or v not in (s, t)) and (dig.out_arcs[v] or dig.in_arcs[v]):
+                    rows.append(balance(i, dig.out_arcs[v], dig.in_arcs[v], 0.0))
             if s != t:
-                coefs = {self.flow_col(i, a): 1.0 for a in dig.out_arcs[s]}
-                for a in dig.in_arcs[s]:
-                    coefs[self.flow_col(i, a)] = coefs.get(self.flow_col(i, a), 0.0) - 1.0
-                self._eq_rows.append((coefs, 1.0))
-                coefs = {self.flow_col(i, a): 1.0 for a in dig.in_arcs[t]}
-                for a in dig.out_arcs[t]:
-                    coefs[self.flow_col(i, a)] = coefs.get(self.flow_col(i, a), 0.0) - 1.0
-                self._eq_rows.append((coefs, 1.0))
-            # z[i,v] bounded by the outflow of v in commodity i
-            for v in self.cover_vertices:
-                coefs = {self.cover_col(i, v): -1.0}
-                for a in dig.out_arcs[v]:
-                    coefs[self.flow_col(i, a)] = 1.0
-                self._ge_rows.append((coefs, 0.0))
+                rows.append(balance(i, dig.out_arcs[s], dig.in_arcs[s], 1.0))
+                rows.append(balance(i, dig.in_arcs[t], dig.out_arcs[t], 1.0))
+        # z[i,v] bounded by the outflow of v in commodity i
+        for i in range(inst.k):
+            rows += [self._cover_row(i, v, dig.out_arcs[v]) for v in self.cover_vertices]
         for v in self.cover_vertices:
-            coefs = {self.cover_col(i, v): 1.0 for i in range(inst.k)}
-            self._ge_rows.append((coefs, 1.0))
+            rows.append((self._cover_columns[:, v].tolist(), [1.0] * inst.k, 1.0, kHighsInf))
+        return rows
 
     def add_cut(self, cut: CutConstraint) -> bool:
         """Append one cut row; returns False if it is already present."""
-        key = (cut.commodity, cut.vertex, cut.members)
-        if key in self._cut_keys:
+        if cut in self._cut_set:
             return False
-        coefs: dict[int, float] = {self.cover_col(cut.commodity, cut.vertex): -1.0}
-        for a, (u, w) in enumerate(self.digraph.arcs):
-            if u in cut.members and w not in cut.members:
-                coefs[self.flow_col(cut.commodity, a)] = 1.0
-        self._ge_rows.append((coefs, 0.0))
-        self._pass_rows(self._ge_rows[-1:], equality=False)
-        self._cut_keys.add(key)
+        arcs = _leaving_arcs(self.digraph, cut.members)
+        self._add_rows([self._cover_row(cut.commodity, cut.vertex, arcs)])
+        self._cut_set.add(cut)
         self.cuts.append(cut)
         return True
+
+    def rows(self) -> list[tuple[dict[int, float], float, float]]:
+        """Every row as HiGHS holds it: ({column: coefficient}, lower, upper)."""
+        lp = self._highs.getLp()
+        matrix = lp.a_matrix_
+        rowwise = matrix.format_ == MatrixFormat.kRowwise
+        coefs: list[dict[int, float]] = [{} for _ in range(lp.num_row_)]
+        start, index, value = matrix.start_, matrix.index_, matrix.value_
+        for major in range(len(start) - 1):
+            for p in range(start[major], start[major + 1]):
+                row, col = (major, index[p]) if rowwise else (index[p], major)
+                coefs[row][col] = value[p]
+        return list(zip(coefs, lp.row_lower_, lp.row_upper_))
 
     def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Re-optimize the current rows; returns (flows, cover, objective)."""
@@ -169,37 +171,22 @@ class LpModel:
             raise LpError(f"LP backend infeasible or failed: {self._highs.modelStatusToString(status)}")
         x = np.maximum(np.asarray(self._highs.getSolution().col_value), 0.0)
         flows = x[: self.num_flow_columns].reshape(k, num_arcs)
-        cover = np.zeros((k, n))
-        cover[:, self.cover_vertices] = x[self.num_flow_columns:].reshape(k, len(self.cover_vertices))
+        cover = np.where(self._cover_columns >= 0, x[self._cover_columns], 0.0)
         return flows, cover, float(flows.sum())
 
     def dump_text(self) -> str:
         """Human-readable rows with x_i_u_v / z_i_v names."""
-        dig = self.digraph
-        names = {}
-        for i in range(self.instance.k):
-            for a, (u, v) in enumerate(dig.arcs):
-                names[self.flow_col(i, a)] = f"x_{i}_{u}_{v}"
-            for v in self.cover_vertices:
-                names[self.cover_col(i, v)] = f"z_{i}_{v}"
-
-        def render(coefs: dict[int, float]) -> str:
-            parts = []
-            for col in sorted(coefs):
-                val = coefs[col]
-                sign = "-" if val < 0 else "+"
-                mag = abs(val)
-                coef = "" if mag == 1 else f"{mag:g} "
-                parts.append(f"{sign} {coef}{names[col]}")
-            return " ".join(parts)
-
-        lines = ["minimize"]
-        lines.append("  " + " ".join(f"+ {names[c]}" for c in range(self.num_flow_columns)))
-        lines.append("subject to")
-        for coefs, b in self._eq_rows:
-            lines.append(f"  {render(coefs)} = {b:g}")
-        for coefs, b in self._ge_rows:
-            lines.append(f"  {render(coefs)} >= {b:g}")
+        k = self.instance.k
+        names = [f"x_{i}_{u}_{v}" for i in range(k) for u, v in self.digraph.arcs]
+        names += [f"z_{i}_{v}" for i in range(k) for v in self.cover_vertices]
+        objective = " ".join(f"+ {names[c]}" for c in range(self.num_flow_columns))
+        lines = ["minimize", f"  {objective}", "subject to"]
+        for coefs, lower, upper in self.rows():
+            terms = []
+            for col, val in sorted(coefs.items()):
+                mag = "" if abs(val) == 1 else f"{abs(val):g} "
+                terms.append(f"{'-' if val < 0 else '+'} {mag}{names[col]}")
+            lines.append(f"  {' '.join(terms)} {'=' if lower == upper else '>='} {lower:g}")
         lines.append("bounds: all variables >= 0")
         return "\n".join(lines) + "\n"
 
@@ -208,8 +195,7 @@ class LpModel:
 class FractionalSolution:
     """LP optimum: per-commodity arc flows plus coverage amounts.
 
-    `cover` holds the capped coverage variables the cut rows act on;
-    `outflow_matrix` gives the per-commodity outflow of every vertex.
+    `cover` holds the capped coverage variables the cut rows act on.
     """
 
     instance: Instance
@@ -219,22 +205,9 @@ class FractionalSolution:
     objective: float
     cuts: tuple[CutConstraint, ...] = field(default=())
 
-    def outflow_matrix(self) -> np.ndarray:
-        n = self.instance.graph.n
-        out = np.zeros((self.instance.k, n))
-        for v in range(n):
-            cols = list(self.digraph.out_arcs[v])
-            if cols:
-                out[:, v] = self.flows[:, cols].sum(axis=1)
-        return out
-
 
 def _flow_across(sol: FractionalSolution, i: int, members: frozenset[int]) -> float:
-    total = 0.0
-    for a, (u, w) in enumerate(sol.digraph.arcs):
-        if u in members and w not in members:
-            total += sol.flows[i, a]
-    return float(total)
+    return float(sum(sol.flows[i, a] for a in _leaving_arcs(sol.digraph, members)))
 
 
 def separate(inst: Instance, sol: FractionalSolution) -> list[CutConstraint]:

@@ -290,6 +290,20 @@ class TestCli:
                      "--solution", str(sol_file)]) == 0
         assert "graph G {" in capsys.readouterr().out
 
+    def test_instance_error_in_worker_is_exit_two(self, capsys):
+        # the error is raised in a worker process and must survive pickling back
+        assert main(["bench", "--count", "4", "--k-min", "0", "--k-max", "0", "--workers", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: at least one commodity")
+
+    @pytest.mark.parametrize("walk", [[0, 99], [0, 0]])
+    def test_export_dot_off_graph_walk_is_exit_two(self, walk, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        sol_file = tmp_path / "sol.json"
+        assert main(["gen", "--seed", "3", "--output", str(inst_file)]) == 0
+        sol_file.write_text(json.dumps({"walks": [walk], "cost": 1}))
+        assert main(["export-dot", "--input", str(inst_file), "--solution", str(sol_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: walk 0 steps")
+
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["lp", "--input", "/nonexistent/file.json"]) == 2
 

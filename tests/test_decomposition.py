@@ -21,6 +21,14 @@ def reconstruction_error(sol, dec):
     return worst
 
 
+def outflow(sol):
+    """Per-commodity outflow of every vertex, summed over its out-arcs."""
+    out = np.zeros((sol.instance.k, sol.instance.graph.n))
+    for v, arcs in enumerate(sol.digraph.out_arcs):
+        out[:, v] = sol.flows[:, list(arcs)].sum(axis=1)
+    return out
+
+
 def assert_invariants(inst, sol, dec):
     num_arcs = sol.digraph.num_arcs
     assert reconstruction_error(sol, dec) <= EPS_DEC
@@ -38,7 +46,7 @@ def assert_invariants(inst, sol, dec):
             assert c.vertices[0] == c.vertices[-1]
             assert c.weight > 0
     pm = path_mass(inst, dec)
-    out = sol.outflow_matrix()
+    out = outflow(sol)
     for i, (s, t) in enumerate(inst.commodities):
         assert pm[i, t] == 0.0
         for v in range(inst.graph.n):

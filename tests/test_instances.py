@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -82,6 +83,13 @@ class TestLoading:
         with pytest.raises(InstanceError) as err:
             load_instance('{"n":2,"edges":[[0,1]]}')
         assert err.value.code == "schema"
+
+    def test_error_pickle_round_trip(self):
+        with pytest.raises(InstanceError) as info:
+            load_instance('{"n":2,"edges":[[0,1]],"commodities":[]}')
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is InstanceError
+        assert (copy.code, str(copy)) == (info.value.code, str(info.value))
 
     def test_solution_round_trip(self):
         sol = FIG1_NINE_EDGE_SOLUTION

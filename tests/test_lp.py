@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from multipath_tsp.lp import (
     EPS_LP,
     EPS_OBJ,
     EPS_SEP,
+    CutConstraint,
     FractionalSolution,
     LpModel,
     separate,
@@ -24,6 +28,52 @@ def crossing_flow(sol, i, members):
         for a, (u, w) in enumerate(sol.digraph.arcs)
         if u in members and w not in members
     )
+
+
+def cover_vertices(inst):
+    return [v for v in range(inst.graph.n) if v not in inst.sinks]
+
+
+def expected_rows(inst, cuts=()):
+    """The LP's rows written out from its definition, in the order the model
+    must hold them, as ({column: coefficient}, lower, upper).
+
+    Columns: flow of commodity i on arc a at i*num_arcs + a, then z[i, v]
+    commodity by commodity over the non-sink vertices in increasing order.
+    """
+    dig = BidirectedGraph(inst.graph)
+    num_arcs = dig.num_arcs
+    covered = cover_vertices(inst)
+
+    def x(i, a):
+        return i * num_arcs + a
+
+    def z(i, v):
+        return inst.k * num_arcs + i * len(covered) + covered.index(v)
+
+    def balance(i, v, b, sign):  # sign * (outflow - inflow) = b
+        row = {x(i, a): float(sign) for a in dig.out_arcs[v]}
+        row.update({x(i, a): -float(sign) for a in dig.in_arcs[v]})
+        return row, b, b
+
+    def escapes(i, v, members):  # x_i(arcs leaving members) - z[i, v] >= 0
+        row = {x(i, a): 1.0 for a, (u, w) in enumerate(dig.arcs) if u in members and w not in members}
+        row[z(i, v)] = -1.0
+        return row, 0.0, math.inf
+
+    eq, ge = [], []
+    for i, (s, t) in enumerate(inst.commodities):
+        for v in range(inst.graph.n):
+            if (s == t or v not in (s, t)) and (dig.out_arcs[v] or dig.in_arcs[v]):
+                eq.append(balance(i, v, 0.0, 1))
+        if s != t:
+            eq.append(balance(i, s, 1.0, 1))
+            eq.append(balance(i, t, 1.0, -1))
+        # z[i, v] <= outflow of v: the arcs leaving {v} are v's out-arcs
+        ge += [escapes(i, v, {v}) for v in covered]
+    ge += [({z(i, v): 1.0 for i in range(inst.k)}, 1.0, math.inf) for v in covered]
+    ge += [escapes(c.commodity, c.vertex, c.members) for c in cuts]
+    return eq + ge
 
 
 class TestModelShape:
@@ -42,9 +92,33 @@ class TestModelShape:
     def test_depot_commodity_has_no_endpoint_rows(self):
         inst = Instance(Graph(2, [[0, 1]]), ((0, 0),))
         model = LpModel(inst)
+        # columns: x on arc (0,1), x on arc (1,0), z at the non-sink vertex 1;
         # conservation at both vertices, one coverage cap, one coverage row
-        eq_rows = len(model._eq_rows)
-        assert eq_rows == 2
+        assert model.rows() == [
+            ({0: 1.0, 1: -1.0}, 0.0, 0.0),
+            ({1: 1.0, 0: -1.0}, 0.0, 0.0),
+            ({2: -1.0, 1: 1.0}, 0.0, math.inf),
+            ({2: 1.0}, 1.0, math.inf),
+        ]
+
+    def test_dump_text_of_path3(self, path3):
+        """Written out by hand from the LP definition. Arcs of 0-1-2 are
+        0_1, 1_0, 1_2, 2_1; only the sink 2 lacks a z column. Conservation
+        holds at the inner vertex 1 only, then the source row at 0 and the
+        sink row at 2; then z <= outflow at 0 and 1; then coverage of 0 and 1."""
+        assert LpModel(path3).dump_text() == (
+            "minimize\n"
+            "  + x_0_0_1 + x_0_1_0 + x_0_1_2 + x_0_2_1\n"
+            "subject to\n"
+            "  - x_0_0_1 + x_0_1_0 + x_0_1_2 - x_0_2_1 = 0\n"
+            "  + x_0_0_1 - x_0_1_0 = 1\n"
+            "  + x_0_1_2 - x_0_2_1 = 1\n"
+            "  + x_0_0_1 - z_0_0 >= 0\n"
+            "  + x_0_1_0 + x_0_1_2 - z_0_1 >= 0\n"
+            "  + z_0_0 >= 1\n"
+            "  + z_0_1 >= 1\n"
+            "bounds: all variables >= 0\n"
+        )
 
     def test_dump_names(self, fig1):
         model = LpModel(fig1)
@@ -157,23 +231,23 @@ class TestCuttingPlaneLoop:
             brute_force_cut_check(inst, sol)
 
     def test_row_stores_match_the_solver_model(self, fig1):
-        """Drive the model by hand: every iterate the solver returns must
-        satisfy every row kept in `_eq_rows` and `_ge_rows`, and a repeated
-        cut must be refused without moving the optimum."""
+        """Drive the model by hand: the rows read back from HiGHS must equal
+        the LP written out from its definition and the cuts added so far
+        (before the first solve HiGHS returns them row-wise, after it
+        column-wise), every iterate must satisfy them, and a repeated cut
+        must be refused without moving the optimum."""
         for inst in [fig1] + random_instances("multipath", 15, seed=5, n_max=9):
             model = LpModel(inst)
+            assert model.rows() == expected_rows(inst)
+            covered = cover_vertices(inst)
             for _ in range(50):
                 flows, cover, obj = model.solve()
-                x = np.zeros(model.num_columns)
-                for i in range(inst.k):
-                    for a in range(model.digraph.num_arcs):
-                        x[model.flow_col(i, a)] = flows[i, a]
-                    for v in model.cover_vertices:
-                        x[model.cover_col(i, v)] = cover[i, v]
-                for coefs, b in model._eq_rows:
-                    assert abs(sum(val * x[col] for col, val in coefs.items()) - b) <= EPS_LP
-                for coefs, b in model._ge_rows:
-                    assert sum(val * x[col] for col, val in coefs.items()) >= b - EPS_LP
+                rows = model.rows()
+                assert rows == expected_rows(inst, model.cuts)
+                x = np.concatenate([flows.ravel(), cover[:, covered].ravel()])
+                for coefs, lower, upper in rows:
+                    value = sum(val * x[col] for col, val in coefs.items())
+                    assert lower - EPS_LP <= value <= upper + EPS_LP
                 sol = FractionalSolution(inst, model.digraph, flows, cover, obj, tuple(model.cuts))
                 found = separate(inst, sol)
                 if not found:
@@ -182,56 +256,41 @@ class TestCuttingPlaneLoop:
             else:
                 pytest.fail("cut loop did not settle within 50 rounds")
             if model.cuts:
-                rows = len(model._ge_rows)
                 assert model.add_cut(model.cuts[-1]) is False
-                assert len(model._ge_rows) == rows
+                assert model.rows() == expected_rows(inst, model.cuts)
                 assert model.solve()[2] == pytest.approx(obj, abs=EPS_LP)
 
     def test_lazy_loop_reaches_materialized_optimum(self):
-        """Solving with every cut row written out up front must agree with
-        the cutting-plane loop; certifies separation end to end."""
-        import itertools
-
+        """Solving with every cut row written out up front, through `linprog`
+        on rows built from the LP definition, must agree with the
+        cutting-plane loop; certifies separation end to end."""
         from scipy.optimize import linprog
 
         def full_value(inst):
-            model = LpModel(inst)
-            ncol = model.num_columns
+            num_flow = inst.k * BidirectedGraph(inst.graph).num_arcs
+            ncol = num_flow + inst.k * len(cover_vertices(inst))
             if ncol == 0:
                 return 0.0
-            c = np.zeros(ncol)
-            c[: model.num_flow_columns] = 1.0
-            ge = list(model._ge_rows)
-            n = inst.graph.n
+            cuts = []
             for i, (_, t) in enumerate(inst.commodities):
-                others = [v for v in range(n) if v != t]
+                others = [v for v in range(inst.graph.n) if v != t]
                 for r in range(1, len(others) + 1):
                     for subset in itertools.combinations(others, r):
-                        members = set(subset)
-                        for v in subset:
-                            if (i, v) not in model._cover_col:
-                                continue
-                            coefs = {model.cover_col(i, v): -1.0}
-                            for a, (x, y) in enumerate(model.digraph.arcs):
-                                if x in members and y not in members:
-                                    coefs[model.flow_col(i, a)] = 1.0
-                            ge.append((coefs, 0.0))
-
-            def dense(rows):
-                mat = np.zeros((len(rows), ncol))
-                rhs = np.zeros(len(rows))
-                for r, (coefs, b) in enumerate(rows):
-                    for col, val in coefs.items():
-                        mat[r, col] = val
-                    rhs[r] = b
-                return mat, rhs
-
-            a_eq, b_eq = dense(model._eq_rows)
-            a_ub, b_ub = dense(ge)
-            res = linprog(c, A_ub=-a_ub, b_ub=-b_ub, A_eq=a_eq, b_eq=b_eq,
+                        members = frozenset(subset)
+                        cuts += [CutConstraint(i, v, members) for v in subset if v not in inst.sinks]
+            rows = expected_rows(inst, cuts)
+            mat = np.zeros((len(rows), ncol))
+            for r, (coefs, _, _) in enumerate(rows):
+                for col, val in coefs.items():
+                    mat[r, col] = val
+            lower = np.array([lo for _, lo, _ in rows])
+            eq = np.array([lo == up for _, lo, up in rows])
+            c = np.zeros(ncol)
+            c[:num_flow] = 1.0
+            res = linprog(c, A_ub=-mat[~eq], b_ub=-lower[~eq], A_eq=mat[eq], b_eq=lower[eq],
                           bounds=(0, None), method="highs")
             assert res.status == 0, res.message
-            return float(res.x[: model.num_flow_columns].sum())
+            return float(res.x[:num_flow].sum())
 
         for inst in random_instances("multipath", 25, seed=47, n_max=6, k_max=2):
             lazy = solve_lp(inst).objective
