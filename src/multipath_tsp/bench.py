@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass, field
 from .errors import GenerationError, InstanceError, OracleLimitError, ToolkitError
 from .exact import exact_opt
 from .graphs import Graph, is_connected
-from .instances import AnyInstance, Instance, OrderedInstance, Solution, load_instance, validate_solution
+from .instances import (
+    AnyInstance, Instance, OrderedInstance, Solution, load_instance, read_text, validate_solution,
+)
 from .multipath import prepare, run_derandomized, run_trial
 from .ordered import prepare_ordered, run_ordered_trial
 from .vrp import VrpInstance, run_combiner, solve_vrp_forest
@@ -184,8 +186,7 @@ def _vrp_row(cfg: BenchConfig, inst: Instance, row: dict) -> None:
 def bench_row(cfg: BenchConfig, index: int) -> dict:
     """Compute one report row; isolated so rows can run in worker processes."""
     if cfg.inputs:
-        with open(cfg.inputs[index], "r", encoding="utf-8") as fh:
-            inst = load_instance(fh.read())
+        inst = load_instance(read_text(cfg.inputs[index]))
     else:
         inst = generate(cfg, _row_seed(cfg, index))
     row: dict = {
@@ -289,6 +290,11 @@ def export_dot(inst: AnyInstance, sol) -> str:
             used_by = usage.setdefault(e, [])
             if i not in used_by:
                 used_by.append(i)
+        # only a one-vertex walk can get here with a vertex outside the graph
+        if not all(0 <= v < g.n for v in walk):
+            raise InstanceError("schema", f"walk {i} visits a vertex outside 0..{g.n - 1}")
+    if len(sol.walks) != inst.k:
+        raise InstanceError("schema", f"{len(sol.walks)} walks given for {inst.k} commodities")
     labels: dict[int, list[str]] = {}
     if isinstance(inst, OrderedInstance):
         for pos, o in enumerate(inst.order):

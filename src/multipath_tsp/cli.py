@@ -14,15 +14,7 @@ from dataclasses import asdict
 
 from .bench import BenchConfig, export_dot, format_table, generate, report_json, run_bench
 from .decomposition import decompose
-from .errors import (
-    DecompositionError,
-    GenerationError,
-    InstanceError,
-    InternalError,
-    LpError,
-    OracleLimitError,
-    ToolkitError,
-)
+from .errors import GenerationError, InstanceError, OracleLimitError, ToolkitError
 from .exact import exact_opt, reconstruct_walks
 from .instances import (
     Instance,
@@ -30,6 +22,7 @@ from .instances import (
     Solution,
     load_instance,
     load_solution,
+    read_text,
     save_instance,
     save_solution,
 )
@@ -41,8 +34,7 @@ from .vrp import VrpInstance, solve_combiner, solve_vrp_forest
 
 
 def _read_instance(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(fh.read())
+    return load_instance(read_text(path))
 
 
 def _require_plain(inst, command: str) -> Instance:
@@ -216,8 +208,7 @@ def _cmd_bench(args) -> None:
 
 def _cmd_export_dot(args) -> None:
     inst = _read_instance(args.input)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        sol = load_solution(fh.read())
+    sol = load_solution(read_text(args.solution))
     _emit(export_dot(inst, sol), args.output)
 
 
@@ -313,18 +304,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (InstanceError, GenerationError, OracleLimitError) as exc:
+    except (InstanceError, GenerationError, OracleLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    except (InternalError, LpError, DecompositionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except ToolkitError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

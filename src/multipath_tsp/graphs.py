@@ -93,21 +93,25 @@ def is_connected(g: Graph) -> bool:
     return UNREACHED not in bfs_distances(g, 0)
 
 
-def shortest_path(g: Graph, u: int, v: int) -> list[int]:
-    """A shortest u-v path as a vertex list, deterministic.
+def descend(g: Graph, dist: list[int], u: int) -> list[int]:
+    """Walk from u down the BFS row `dist` to the vertex at distance 0.
 
-    Ties are broken by always stepping to the lowest-indexed neighbor that
-    is one hop closer to v.
+    Each step goes to the lowest-indexed neighbor that is one hop closer,
+    so the path is a deterministic shortest path.
     """
-    dist = bfs_distances(g, v)
     if dist[u] == UNREACHED:
-        raise InstanceError("disconnected", f"no path from {u} to {v}")
+        raise InstanceError("disconnected", f"no path from {u} to the source of this BFS row")
     path = [u]
     cur = u
-    while cur != v:
+    while dist[cur]:
         cur = next(w for w in g.adj[cur] if dist[w] == dist[cur] - 1)
         path.append(cur)
     return path
+
+
+def shortest_path(g: Graph, u: int, v: int) -> list[int]:
+    """A shortest u-v path as a vertex list, deterministic (see `descend`)."""
+    return descend(g, bfs_distances(g, v), u)
 
 
 def all_pairs_distances(g: Graph) -> list[list[int]]:

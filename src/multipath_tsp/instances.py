@@ -102,7 +102,7 @@ class Solution:
 AnyInstance = Union[Instance, OrderedInstance]
 
 
-def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, str | None]:
+def validate_solution(inst: AnyInstance, sol: Solution) -> tuple[bool, str | None]:
     """Check all Solution invariants; returns (ok, first violated condition)."""
     g = inst.graph
     if len(sol.walks) != inst.k:
@@ -129,6 +129,20 @@ def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, str | None]:
     return True, None
 
 
+def read_text(path: str) -> str:
+    """A file's contents; bytes that are not UTF-8 are malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceError("malformed-json", f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(text: str) -> dict:
     try:
         data = json.loads(text)
@@ -142,10 +156,10 @@ def _parse_json(text: str) -> dict:
 def _parse_graph(data: dict) -> Graph:
     n = data.get("n")
     edges = data.get("edges")
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if not _is_int(n) or not isinstance(edges, list):
         raise InstanceError("schema", 'expected integer "n" and list "edges"')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise InstanceError("schema", f"edge entries must be [u, v] integer pairs, got {e!r}")
     return Graph(n, edges)
 
@@ -156,14 +170,14 @@ def load_instance(text: str) -> AnyInstance:
     graph = _parse_graph(data)
     if "order" in data:
         order = data["order"]
-        if not (isinstance(order, list) and all(isinstance(o, int) for o in order)):
+        if not (isinstance(order, list) and all(_is_int(o) for o in order)):
             raise InstanceError("schema", '"order" must be a list of integers')
         return OrderedInstance(graph, tuple(order))
     commodities = data.get("commodities")
     if not isinstance(commodities, list):
         raise InstanceError("schema", 'expected "commodities" or "order"')
     for c in commodities:
-        if not (isinstance(c, list) and len(c) == 2 and all(isinstance(x, int) for x in c)):
+        if not (isinstance(c, list) and len(c) == 2 and all(_is_int(x) for x in c)):
             raise InstanceError("schema", f"commodity entries must be [s, t] integer pairs, got {c!r}")
     return Instance(graph, tuple((c[0], c[1]) for c in commodities))
 
@@ -181,10 +195,10 @@ def load_solution(text: str) -> Solution:
     data = _parse_json(text)
     walks = data.get("walks")
     cost = data.get("cost")
-    if not isinstance(walks, list) or not isinstance(cost, int):
+    if not isinstance(walks, list) or not _is_int(cost):
         raise InstanceError("schema", 'expected list "walks" and integer "cost"')
     for w in walks:
-        if not (isinstance(w, list) and all(isinstance(v, int) for v in w)):
+        if not (isinstance(w, list) and all(_is_int(v) for v in w)):
             raise InstanceError("schema", "walks must be lists of integers")
     return Solution(tuple(tuple(w) for w in walks), cost)
 

@@ -47,7 +47,7 @@ def prepare_ordered(inst: OrderedInstance) -> OrderedPlan:
 
 
 def validate_ordered(inst: OrderedInstance, sol: OrderedSolution) -> tuple[bool, str | None]:
-    ok, why = validate_solution(inst.to_instance(), Solution(sol.walks, sol.cost))
+    ok, why = validate_solution(inst, Solution(sol.walks, sol.cost))
     if not ok:
         return False, why
     # terminal order: concatenated walks must visit the terminals cyclically
@@ -64,40 +64,29 @@ def validate_ordered(inst: OrderedInstance, sol: OrderedSolution) -> tuple[bool,
     return True, None
 
 
-def _euler_circuit(edge_tokens: list[tuple[int, int, int]], start: int, n: int) -> list[int]:
-    """Closed walk from `start` using every token (u, v, token id) exactly once.
+def _euler_circuit(
+    incident: list[list[tuple[int, int]]], used: set[int], ptr: list[int], start: int
+) -> list[int]:
+    """Closed walk from `start` over every token of its component not yet in
+    `used`, adding each token it takes to `used`.
 
     Hierholzer with the lowest available (neighbor, token) taken first, so the
-    output is deterministic.
+    output is deterministic. `ptr[v]` only ever skips used tokens, so it is
+    shared across calls.
     """
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, tok in edge_tokens:
-        incident[u].append((v, tok))
-        incident[v].append((u, tok))
-    for lst in incident:
-        lst.sort()
-    used: set[int] = set()
-    ptr = [0] * n
     stack = [start]
     circuit: list[int] = []
     while stack:
         v = stack[-1]
-        found = None
-        while ptr[v] < len(incident[v]):
-            w, tok = incident[v][ptr[v]]
-            if tok in used:
-                ptr[v] += 1
-                continue
-            found = (w, tok)
-            break
-        if found is None:
+        while ptr[v] < len(incident[v]) and incident[v][ptr[v]][1] in used:
+            ptr[v] += 1
+        if ptr[v] == len(incident[v]):
             circuit.append(stack.pop())
         else:
-            used.add(found[1])
-            stack.append(found[0])
+            w, tok = incident[v][ptr[v]]
+            used.add(tok)
+            stack.append(w)
     circuit.reverse()
-    if len(used) != len(edge_tokens):
-        raise InternalError("Eulerian traversal missed extra edges; component not connected")
     return circuit
 
 
@@ -110,63 +99,41 @@ def extract_ordered_walks(inst: OrderedInstance, paths, extra: EdgeMultiset) -> 
     of that vertex in the lowest-indexed walk containing it.
     """
     g = inst.graph
-    degrees = extra.degrees()
-    if any(d % 2 for d in degrees):
+    if any(d % 2 for d in extra.degrees()):
         raise InternalError("parity violation: extra edges must have even degree everywhere")
 
-    # connected components of the extra multiset
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    tokens: list[tuple[int, int, int]] = []
+    # one token per edge copy, listed at both ends as (neighbor, token)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     tok = 0
     for e, count in extra.items():
         u, v = g.edges[e]
-        adj[u].add(v)
-        adj[v].add(u)
         for _ in range(count):
-            tokens.append((u, v, tok))
+            incident[u].append((v, tok))
+            incident[v].append((u, tok))
             tok += 1
-    component = [-1] * g.n
-    n_comp = 0
-    for v in range(g.n):
-        if degrees[v] == 0 or component[v] != -1:
-            continue
-        stack = [v]
-        component[v] = n_comp
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if component[w] == -1:
-                    component[w] = n_comp
-                    stack.append(w)
-        n_comp += 1
+    for lst in incident:
+        lst.sort()
 
     walks = [list(w) for w in paths]
-    on_walk = [set(w) for w in walks]
-    insertions: dict[int, dict[int, list[int]]] = {}
-    for comp in range(n_comp):
-        comp_vertices = [v for v in range(g.n) if component[v] == comp]
-        anchors = [v for v in comp_vertices if any(v in s for s in on_walk)]
-        if not anchors:
-            raise InternalError("disconnected union: extra edges share no vertex with any walk")
-        start = min(anchors)
-        comp_tokens = [t for t in tokens if component[t[0]] == comp]
-        circuit = _euler_circuit(comp_tokens, start, g.n)
-        walk_idx = next(i for i in range(len(walks)) if start in on_walk[i])
-        at = walks[walk_idx].index(start)
-        insertions.setdefault(walk_idx, {})[at] = circuit
-
-    out: list[tuple[int, ...]] = []
-    total = 0
+    first: dict[int, tuple[int, int]] = {}
     for i, walk in enumerate(walks):
-        todo = insertions.get(i, {})
-        built: list[int] = []
         for pos, v in enumerate(walk):
-            built.append(v)
-            if pos in todo:
-                built.extend(todo[pos][1:])
-        out.append(tuple(built))
-        total += len(built) - 1
-    return OrderedSolution(tuple(out), total)
+            first.setdefault(v, (i, pos))
+    # Every degree is even, so a circuit uses up its whole component and the
+    # ascending scan reaches each component first at its lowest on-walk vertex.
+    used: set[int] = set()
+    ptr = [0] * g.n
+    excursions: dict[tuple[int, int], list[int]] = {}
+    for v in sorted(first):
+        circuit = _euler_circuit(incident, used, ptr, v)
+        if len(circuit) > 1:
+            excursions[first[v]] = circuit
+    if len(used) != tok:
+        raise InternalError("disconnected union: extra edges share no vertex with any walk")
+    # splice from the back so the recorded positions stay valid
+    for i, pos in sorted(excursions, reverse=True):
+        walks[i][pos + 1:pos + 1] = excursions[i, pos][1:]
+    return OrderedSolution(tuple(tuple(w) for w in walks), sum(len(w) - 1 for w in walks))
 
 
 def run_ordered_trial(plan: OrderedPlan, seed: int) -> tuple[OrderedSolution, CostReport, TJoin]:

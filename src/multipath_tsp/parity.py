@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .graphs import Graph, all_pairs_distances, shortest_path
+from .graphs import Graph, all_pairs_distances, descend
 
 
 @dataclass
@@ -87,7 +87,7 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
     matching = nx.min_weight_matching(complete)
     edges: set[int] = set()
     for a, b in sorted(tuple(sorted(pair)) for pair in matching):
-        walk = shortest_path(g, a, b)
+        walk = descend(g, dists[b], a)
         for u, v in zip(walk, walk[1:]):
             edges.symmetric_difference_update({g.edge_id(u, v)})
     return TJoin(frozenset(edges), frozenset(odd))

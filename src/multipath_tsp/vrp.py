@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import InstanceError, InternalError
-from .graphs import bfs_distances, shortest_path
+from .graphs import shortest_path
 from .instances import Instance, Solution, validate_solution
 from .multipath import SolverPlan, prepare, run_derandomized
 
@@ -56,9 +55,6 @@ class CombinerReport:
     cost_vrp_branch: int
     vrp_base_cost: int
     distance_sum: int
-
-
-VrpSolver = Callable[[VrpInstance], Solution]
 
 
 def solve_vrp_forest(vrp: VrpInstance) -> Solution:
@@ -110,28 +106,15 @@ def solve_vrp_forest(vrp: VrpInstance) -> Solution:
     return sol
 
 
-def distance_sum(inst: Instance) -> int:
-    """Sum over commodities of the source-sink hop distance."""
-    cache: dict[int, list[int]] = {}
-    total = 0
-    for s, t in inst.commodities:
-        if s not in cache:
-            cache[s] = bfs_distances(inst.graph, s)
-        total += cache[s][t]
-    return total
-
-
-def run_combiner(plan: SolverPlan, vrp_alg: VrpSolver | None = None) -> tuple[Solution, CombinerReport]:
+def run_combiner(plan: SolverPlan) -> tuple[Solution, CombinerReport]:
     """Best of the derandomized path solver and the depot-baseline branch.
 
     The depot branch solves the instance with every sink moved onto its
     source (duplicated sources collapse to one depot; the extra commodities
     keep singleton walks) and then appends a shortest source-sink path to
-    each walk. `vrp_alg` is injectable so a stronger depot solver can be
-    slotted in; the default is the doubled spanning forest.
+    each walk.
     """
     inst = plan.instance
-    alg = vrp_alg or solve_vrp_forest
     sol1, _ = run_derandomized(plan)
 
     unique: list[int] = []
@@ -141,19 +124,21 @@ def run_combiner(plan: SolverPlan, vrp_alg: VrpSolver | None = None) -> tuple[So
             first_for_depot[s] = i
             unique.append(s)
     vrp_inst = VrpInstance(inst.graph, tuple(unique))
-    base_sol = alg(vrp_inst)
+    base_sol = solve_vrp_forest(vrp_inst)
     base_cost = base_sol.cost
 
     walks: list[tuple[int, ...]] = []
+    d_sum = 0
     for i, (s, t) in enumerate(inst.commodities):
         if first_for_depot[s] == i:
             walk = list(base_sol.walks[unique.index(s)])
         else:
             walk = [s]
         if s != t:
-            walk.extend(shortest_path(inst.graph, s, t)[1:])
+            route = shortest_path(inst.graph, s, t)
+            walk.extend(route[1:])
+            d_sum += len(route) - 1
         walks.append(tuple(walk))
-    d_sum = distance_sum(inst)
     sol2 = Solution(tuple(walks), sum(len(w) - 1 for w in walks))
     ok, why = validate_solution(inst, sol2)
     if not ok:
@@ -169,5 +154,5 @@ def run_combiner(plan: SolverPlan, vrp_alg: VrpSolver | None = None) -> tuple[So
     return (sol1 if sol1.cost <= sol2.cost else sol2), report
 
 
-def solve_combiner(inst: Instance, vrp_alg: VrpSolver | None = None) -> tuple[Solution, CombinerReport]:
-    return run_combiner(prepare(inst), vrp_alg)
+def solve_combiner(inst: Instance) -> tuple[Solution, CombinerReport]:
+    return run_combiner(prepare(inst))

@@ -304,6 +304,56 @@ class TestCli:
         assert main(["export-dot", "--input", str(inst_file), "--solution", str(sol_file)]) == 2
         assert capsys.readouterr().err.startswith("error: walk 0 steps")
 
+    @pytest.mark.parametrize("walks, message", [
+        ([[99]], "walk 0 visits a vertex outside 0..4"),
+        ([[0], [99]], "walk 1 visits a vertex outside 0..4"),
+        ([[0]], "1 walks given for 2 commodities"),
+    ])
+    def test_export_dot_bad_walk_list_is_exit_two(self, walks, message, tmp_path, capsys):
+        # the generated instance has 5 vertices and 2 commodities
+        inst_file = tmp_path / "inst.json"
+        sol_file = tmp_path / "sol.json"
+        assert main(["gen", "--seed", "3", "--output", str(inst_file)]) == 0
+        assert load_instance(inst_file.read_text()).k == 2
+        sol_file.write_text(json.dumps({"walks": walks, "cost": 0}))
+        assert main(["export-dot", "--input", str(inst_file), "--solution", str(sol_file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["lp", "export-dot", "bench"])
+    def test_non_utf8_file_is_exit_two(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        fig1 = str(DATA / "fig1.json")
+        argv = {
+            "lp": ["lp", "--input", str(bad)],
+            "export-dot": ["export-dot", "--input", fig1, "--solution", str(bad)],
+            "bench": ["bench", "--input", str(bad)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"n": true, "edges": [], "commodities": [[0, 0]]}',
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "order": [true, 2]}',
+        '{"n": 3, "edges": [[0, 1], [1, true]], "commodities": [[0, 2]]}',
+        '{"n": 3, "edges": [[0, 1], [1, 2]], "commodities": [[false, 2]]}',
+    ])
+    def test_boolean_instance_field_is_exit_two(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["lp", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "integer" in err
+
+    @pytest.mark.parametrize("text", ['{"walks": [[true], [1]], "cost": 0}', '{"walks": [[0], [1]], "cost": false}'])
+    def test_boolean_solution_field_is_exit_two(self, text, tmp_path, capsys):
+        bad = tmp_path / "sol.json"
+        bad.write_text(text)
+        assert main(["export-dot", "--input", str(DATA / "fig1.json"), "--solution", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "integer" in err
+
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["lp", "--input", "/nonexistent/file.json"]) == 2
 

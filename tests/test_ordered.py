@@ -86,6 +86,22 @@ class TestExtraction:
         assert sol.walks == ((0, 3, 0, 1), (1, 2), (2, 0))
         assert sol.cost == 5
 
+    def test_two_components_splice_into_one_walk(self):
+        # walks 0-1-4 | 4-8-5-7-6 | 6-9-0; vertices 2 and 3 lie on no walk
+        g = Graph(10, [[0, 1], [1, 4], [4, 8], [5, 8], [5, 7], [6, 7], [6, 9], [0, 9],
+                       [2, 3], [3, 8], [2, 8], [7, 9]])
+        inst = OrderedInstance(g, (0, 4, 6))
+        extra = EdgeMultiset(g)
+        for u, v in [(2, 3), (3, 8), (2, 8)]:  # lowest vertex 2 is off every walk
+            extra.add(u, v)
+        for u, v in [(6, 7), (7, 9), (6, 9)]:  # on-walk 7 comes first, but 6 is lower
+            extra.add(u, v)
+        sol = extract_ordered_walks(inst, [(0, 1, 4), (4, 8, 5, 7, 6), (6, 9, 0)], extra)
+        # component {2, 3, 8} anchors at 8 (walk 1, position 1): 8-2-3-8, lowest neighbor first;
+        # component {6, 7, 9} anchors at 6, whose first walk is 1 (position 4): 6-7-9-6
+        assert sol.walks == ((0, 1, 4), (4, 8, 2, 3, 8, 5, 7, 6, 7, 9, 6), (6, 9, 0))
+        assert sol.cost == 8 + 6
+
     def test_edge_multiset_conserved(self):
         for inst in random_instances("ordered", 20, seed=57, n_max=10):
             plan = prepare_ordered(inst)
