@@ -31,7 +31,7 @@ from .instances import (
 )
 from .lp import solve_lp
 from .multipath import CostReport, prepare, run_derandomized, run_trial, solve_derandomized, solve_randomized
-from .ordered import OrderedSolution, prepare_ordered, run_ordered_trial, solve_ordered, validate_ordered
+from .ordered import prepare_ordered, run_ordered_trial, solve_ordered, validate_ordered
 from .vrp import CombinerReport, VrpInstance, run_combiner, solve_combiner, solve_vrp_forest
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "LpError",
     "OracleLimitError",
     "OrderedInstance",
-    "OrderedSolution",
     "Solution",
     "ToolkitError",
     "VrpInstance",

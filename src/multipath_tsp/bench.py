@@ -150,7 +150,7 @@ def _ordered_row(cfg: BenchConfig, inst: OrderedInstance, row: dict) -> None:
     max_join = 0
     for trial in range(trials):
         sol, rep, join = run_ordered_trial(plan, _row_seed(cfg, row["index"]) * 31 + trial)
-        ok, why = validate_solution(plan.base, Solution(sol.walks, sol.cost))
+        ok, why = validate_solution(plan.base, sol)
         if not ok:
             raise ToolkitError(f"ordered solution failed validation: {why}")
         costs.append(sol.cost)

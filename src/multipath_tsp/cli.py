@@ -19,7 +19,6 @@ from .exact import exact_opt, reconstruct_walks
 from .instances import (
     Instance,
     OrderedInstance,
-    Solution,
     load_instance,
     load_solution,
     read_text,
@@ -89,7 +88,7 @@ def _cmd_solve_ordered(args) -> None:
         _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.output)
         return
     sol, report, _ = run_ordered_trial(plan, args.seed)
-    payload = json.loads(save_solution(Solution(sol.walks, sol.cost)))
+    payload = json.loads(save_solution(sol))
     payload["report"] = asdict(report)
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
 

@@ -13,13 +13,17 @@ assignment; the relaxed-oracle test in the suite spot-checks this reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import OracleLimitError
-from .graphs import all_pairs_distances, shortest_path
+from .graphs import all_pairs_distances, descend
 from .instances import Instance, Solution
 from .lp import EPS_LP, FractionalSolution
 
 INF = float("inf")
+PAIR_CHUNK = 1 << 15  # (mask, submask) pairs per min-plus step; bounds the float temporaries
 
 
 @dataclass(frozen=True)
@@ -29,61 +33,101 @@ class ExactResult:
     orders: tuple[tuple[int, ...], ...]      # per-commodity waypoint sequence
 
 
-def _walk_tables(dist, s: int, t: int, free: list[int]):
-    """Held-Karp tables: best[mask][j] = cheapest s -> free[j] path visiting mask.
+def _popcount_layers(f: int) -> list[np.ndarray]:
+    """The masks over f bits, grouped by popcount (layer p holds popcount p)."""
+    masks = np.arange(1 << f)
+    count = np.zeros(1 << f, dtype=np.intp)
+    for b in range(f):
+        count += masks >> b & 1
+    return [masks[count == p] for p in range(f + 1)]
 
-    Returns (cost per mask, waypoint order per mask) for ending at the
-    commodity's own sink (s == t means the walk closes back at s).
+
+@lru_cache(maxsize=None)
+def _submask_pairs(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (mask, submask) pair over f bits, 3^f of them, as two uint16 arrays.
+
+    Each bit is a ternary digit: outside the mask, in the mask only, or in
+    both. Filled in place, with no temporaries, and read-only once built,
+    since the arrays are shared by every call.
+    """
+    mask = np.zeros(3 ** f, dtype=np.uint16)
+    sub = np.zeros(3 ** f, dtype=np.uint16)
+    size = 1
+    for b in range(f):
+        bit = np.uint16(1 << b)
+        np.bitwise_or(mask[:size], bit, out=mask[size:2 * size])
+        np.bitwise_or(mask[:size], bit, out=mask[2 * size:3 * size])
+        sub[size:2 * size] = sub[:size]
+        np.bitwise_or(sub[:size], bit, out=sub[2 * size:3 * size])
+        size *= 3
+    mask.flags.writeable = sub.flags.writeable = False
+    return mask, sub
+
+
+def _walk_tables(dist: np.ndarray, s: int, t: int, free: list[int], layers: list[np.ndarray]):
+    """Held-Karp tables: best[mask, j] = cheapest s -> free[j] path visiting mask.
+
+    Layer by layer, best[mask, j] is the minimum over i of
+    best[mask ^ 1 << j, i] + d(free[i], free[j]); entries with i outside
+    that mask are INF, and argmin keeps the lowest i among ties. Returns
+    (cost per mask, waypoint order per mask) for ending at the commodity's
+    own sink (s == t means the walk closes back at s).
     """
     f = len(free)
-    end = t
-    best = [[INF] * f for _ in range(1 << f)]
-    parent = [[-1] * f for _ in range(1 << f)]
-    for j in range(f):
-        best[1 << j][j] = dist[s][free[j]]
-    for mask in range(1, 1 << f):
-        for j in range(f):
-            if not mask >> j & 1 or best[mask][j] == INF:
-                continue
-            base = best[mask][j]
-            for j2 in range(f):
-                if mask >> j2 & 1:
-                    continue
-                nxt = mask | 1 << j2
-                cand = base + dist[free[j]][free[j2]]
-                if cand < best[nxt][j2]:
-                    best[nxt][j2] = cand
-                    parent[nxt][j2] = j
-    cost = [0] * (1 << f)
-    last = [-1] * (1 << f)
-    cost[0] = dist[s][t]
-    for mask in range(1, 1 << f):
-        w = INF
-        arg = -1
-        for j in range(f):
-            if mask >> j & 1 and best[mask][j] < INF:
-                cand = best[mask][j] + dist[free[j]][end]
-                if cand < w:
-                    w = cand
-                    arg = j
-        cost[mask] = w
-        last[mask] = arg
+    cols = np.arange(f)
+    bits = 1 << cols
+    d_free = dist[np.ix_(free, free)]
+    best = np.full((1 << f, f), INF)
+    parent = np.full((1 << f, f), -1, dtype=np.int8)
+    best[bits, cols] = dist[s, free]
+    for masks in layers[2:]:
+        cand = best[masks[:, None] ^ bits]   # cand[m, j, i]
+        cand += d_free.T
+        arg = cand.argmin(axis=2)
+        parent[masks] = arg
+        best[masks] = np.take_along_axis(cand, arg[..., None], axis=2)[..., 0]
+    close = best + dist[free, t]
+    cost = close.min(axis=1, initial=INF)
+    cost[0] = dist[s, t]
+    # the last waypoint before the sink, lowest j among ties; with no free
+    # vertex argmin has nothing to scan, and order(0) needs no last waypoint
+    last = close.argmin(axis=1) if f else None
 
     def order(mask: int) -> tuple[int, ...]:
         if mask == 0:
             return (s,) if s == t else (s, t)
         seq = []
-        j = last[mask]
+        j = int(last[mask])
         m = mask
         while j != -1:
             seq.append(free[j])
-            pj = parent[m][j]
+            pj = int(parent[m, j])
             m ^= 1 << j
             j = pj
         seq.reverse()
         return (s, *seq, t) if s != t else (s, *seq, s)
 
     return cost, order
+
+
+def _cover_step(prev: np.ndarray, cost_i: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Min-plus step: cur[mask] = min over sub of prev[mask ^ sub] + cost_i[sub].
+
+    pick[mask] is the largest minimizing sub, or 0 when every candidate is INF.
+    """
+    pair_mask, pair_sub = _submask_pairs(f)
+    chunks = [slice(lo, lo + PAIR_CHUNK) for lo in range(0, len(pair_mask), PAIR_CHUNK)]
+    cur = np.full(1 << f, INF)
+    for c in chunks:
+        mask, sub = pair_mask[c], pair_sub[c]
+        np.minimum.at(cur, mask, prev[mask ^ sub] + cost_i[sub])
+    pick = np.zeros(1 << f, dtype=np.uint16)
+    for c in chunks:
+        mask, sub = pair_mask[c], pair_sub[c]
+        cand = prev[mask ^ sub] + cost_i[sub]
+        hit = (cand == cur[mask]) & (cand < INF)
+        np.maximum.at(pick, mask[hit], sub[hit])
+    return cur, pick
 
 
 def exact_opt(inst: Instance, limit_free: int = 10, limit_dp: int = 14) -> ExactResult:
@@ -96,40 +140,23 @@ def exact_opt(inst: Instance, limit_free: int = 10, limit_dp: int = 14) -> Exact
             f"instance too large: {f} free vertices exceed the oracle limits "
             f"(limit_free={limit_free}, limit_dp={limit_dp})"
         )
-    dist = all_pairs_distances(g)
+    dist = np.array(all_pairs_distances(g), dtype=float)
     k = inst.k
-    tables = []
-    for s, t in inst.commodities:
-        tables.append(_walk_tables(dist, s, t, free))
+    layers = _popcount_layers(f)
+    tables = [_walk_tables(dist, s, t, free, layers) for s, t in inst.commodities]
 
-    full = (1 << f) - 1
     # partition DP: cheapest way for the first i+1 commodities to cover mask
-    prev = list(tables[0][0])
-    choice = [[0] * (1 << f)]
-    for i in range(1, k):
-        cost_i = tables[i][0]
-        cur = [INF] * (1 << f)
-        pick = [0] * (1 << f)
-        for mask in range(1 << f):
-            sub = mask
-            while True:
-                rest = mask ^ sub
-                if prev[rest] < INF and cost_i[sub] < INF:
-                    cand = prev[rest] + cost_i[sub]
-                    if cand < cur[mask]:
-                        cur[mask] = cand
-                        pick[mask] = sub
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-        prev = cur
+    prev = tables[0][0]
+    choice = [None]
+    for cost_i, _ in tables[1:]:
+        prev, pick = _cover_step(prev, cost_i, f)
         choice.append(pick)
 
-    total = prev[full]
+    mask = (1 << f) - 1
+    total = prev[mask]
     masks = [0] * k
-    mask = full
     for i in range(k - 1, 0, -1):
-        masks[i] = choice[i][mask]
+        masks[i] = int(choice[i][mask])
         mask ^= masks[i]
     masks[0] = mask
 
@@ -140,12 +167,14 @@ def exact_opt(inst: Instance, limit_free: int = 10, limit_dp: int = 14) -> Exact
 
 def reconstruct_walks(inst: Instance, result: ExactResult) -> Solution:
     """Expand an oracle result into graph walks via shortest paths."""
+    g = inst.graph
+    dists = all_pairs_distances(g)
     walks = []
     cost = 0
     for order in result.orders:
         walk = [order[0]]
         for a, b in zip(order, order[1:]):
-            walk.extend(shortest_path(inst.graph, a, b)[1:])
+            walk.extend(descend(g, dists[b], a)[1:])
         walks.append(tuple(walk))
         cost += len(walk) - 1
     return Solution(tuple(walks), cost)

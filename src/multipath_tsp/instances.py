@@ -169,6 +169,8 @@ def load_instance(text: str) -> AnyInstance:
     data = _parse_json(text)
     graph = _parse_graph(data)
     if "order" in data:
+        if "commodities" in data:
+            raise InstanceError("schema", 'give "commodities" or "order", not both')
         order = data["order"]
         if not (isinstance(order, list) and all(_is_int(o) for o in order)):
             raise InstanceError("schema", '"order" must be a list of integers')

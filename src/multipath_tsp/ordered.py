@@ -21,15 +21,6 @@ from .multipath import CostReport, attachment_order, make_report, sample_paths
 from .parity import EdgeMultiset, TJoin, min_tjoin, odd_vertices
 
 
-@dataclass(frozen=True)
-class OrderedSolution:
-    """Walk i runs from terminal i to terminal i+1 (cyclically); closing them
-    head-to-tail gives a spanning closed walk hitting the terminals in order."""
-
-    walks: tuple[tuple[int, ...], ...]
-    cost: int
-
-
 @dataclass(frozen=True, eq=False)
 class OrderedPlan:
     instance: OrderedInstance
@@ -46,8 +37,8 @@ def prepare_ordered(inst: OrderedInstance) -> OrderedPlan:
     return OrderedPlan(inst, base, lp_sol, dec, all_pairs_distances(inst.graph))
 
 
-def validate_ordered(inst: OrderedInstance, sol: OrderedSolution) -> tuple[bool, str | None]:
-    ok, why = validate_solution(inst, Solution(sol.walks, sol.cost))
+def validate_ordered(inst: OrderedInstance, sol: Solution) -> tuple[bool, str | None]:
+    ok, why = validate_solution(inst, sol)
     if not ok:
         return False, why
     # terminal order: concatenated walks must visit the terminals cyclically
@@ -90,9 +81,12 @@ def _euler_circuit(
     return circuit
 
 
-def extract_ordered_walks(inst: OrderedInstance, paths, extra: EdgeMultiset) -> OrderedSolution:
+def extract_ordered_walks(inst: OrderedInstance, paths, extra: EdgeMultiset) -> Solution:
     """Splice the extra edge multiset into the sampled walks as closed
     excursions, one per connected component of the extra edges.
+
+    Walk i runs from terminal i to terminal i+1 (cyclically); closing them
+    head-to-tail gives a spanning closed walk hitting the terminals in order.
 
     Each component is traversed as an Eulerian circuit anchored at its lowest
     vertex that lies on a sampled walk, and inserted at the first occurrence
@@ -133,10 +127,10 @@ def extract_ordered_walks(inst: OrderedInstance, paths, extra: EdgeMultiset) -> 
     # splice from the back so the recorded positions stay valid
     for i, pos in sorted(excursions, reverse=True):
         walks[i][pos + 1:pos + 1] = excursions[i, pos][1:]
-    return OrderedSolution(tuple(tuple(w) for w in walks), sum(len(w) - 1 for w in walks))
+    return Solution(tuple(tuple(w) for w in walks), sum(len(w) - 1 for w in walks))
 
 
-def run_ordered_trial(plan: OrderedPlan, seed: int) -> tuple[OrderedSolution, CostReport, TJoin]:
+def run_ordered_trial(plan: OrderedPlan, seed: int) -> tuple[Solution, CostReport, TJoin]:
     """One sampling + reconnection + parity pass on a prepared plan."""
     inst = plan.instance
     g = inst.graph
@@ -164,6 +158,6 @@ def run_ordered_trial(plan: OrderedPlan, seed: int) -> tuple[OrderedSolution, Co
     return sol, report, join
 
 
-def solve_ordered(inst: OrderedInstance, seed: int) -> tuple[OrderedSolution, CostReport]:
+def solve_ordered(inst: OrderedInstance, seed: int) -> tuple[Solution, CostReport]:
     sol, report, _ = run_ordered_trial(prepare_ordered(inst), seed)
     return sol, report

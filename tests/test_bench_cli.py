@@ -354,6 +354,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "integer" in err
 
+    @pytest.mark.parametrize("command", ["lp", "solve-ordered"])
+    def test_commodities_and_order_together_is_exit_two(self, command, tmp_path, capsys):
+        # ambiguous: one field asks for a multi-path instance, the other for an ordered tour
+        bad = tmp_path / "both.json"
+        bad.write_text('{"n": 2, "edges": [[0, 1]], "commodities": [[0, 1]], "order": [0, 1]}')
+        assert main([command, "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and '"commodities"' in err and '"order"' in err
+
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["lp", "--input", "/nonexistent/file.json"]) == 2
 

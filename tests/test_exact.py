@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from multipath_tsp.errors import OracleLimitError
-from multipath_tsp.exact import brute_force_cut_check, exact_opt, reconstruct_walks
+from multipath_tsp.exact import ExactResult, brute_force_cut_check, exact_opt, reconstruct_walks
 from multipath_tsp.graphs import Graph, all_pairs_distances
 from multipath_tsp.instances import Instance, validate_solution
 from multipath_tsp.lp import solve_lp
@@ -146,6 +146,69 @@ class TestOracleSoundness:
             exact_opt(inst)
         # raising the knob admits it
         assert exact_opt(inst, limit_free=11, limit_dp=11).cost == 12
+
+
+def free_count(inst: Instance) -> int:
+    return inst.graph.n - len(inst.terminals)
+
+
+class TestTables:
+    """The Held-Karp layers and the partition min-plus steps, against the
+    permutation oracle and against optima worked out by hand."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_permutation_oracle_with_many_commodities(self, k):
+        # k - 1 partition steps, so the intermediate tables feed later steps
+        checked = 0
+        for inst in random_instances("multipath", 80, seed=83 + k, n_min=k + 3, n_max=9, k_min=k, k_max=k):
+            if inst.k != k or not 2 <= free_count(inst) <= 5:
+                continue
+            assert exact_opt(inst).cost == exact_by_permutations(inst)
+            checked += 1
+        assert checked >= 15
+
+    def test_matches_permutation_oracle_all_depot(self):
+        checked = 0
+        for inst in random_instances("vrp", 60, seed=89, n_min=3, n_max=8, k_max=4):
+            if not 1 <= free_count(inst) <= 5:
+                continue
+            assert all(s == t for s, t in inst.commodities)
+            result = exact_opt(inst)
+            assert result.cost == exact_by_permutations(inst)
+            sol = reconstruct_walks(inst, result)
+            ok, why = validate_solution(inst, sol)
+            assert ok, why
+            assert sol.cost == result.cost
+            checked += 1
+        assert checked >= 30
+
+    def test_no_free_vertex(self):
+        # path 0-1-2: every vertex is a terminal, so each walk is a shortest path
+        inst = Instance(Graph(3, [[0, 1], [1, 2]]), ((0, 2), (1, 1)))
+        result = exact_opt(inst)
+        assert result == ExactResult(2, (frozenset(), frozenset()), ((0, 2), (1,)))
+
+    def test_one_free_vertex(self):
+        # path 0-1-2-3: vertex 1 lies on 0's way to 3 (cost 3 in all) but
+        # costs the depot at 2 a round trip of 2 (cost 3 + 2)
+        inst = Instance(Graph(4, [[0, 1], [1, 2], [2, 3]]), ((0, 3), (2, 2)))
+        result = exact_opt(inst)
+        assert result == ExactResult(3, (frozenset({1}), frozenset()), ((0, 1, 3), (2,)))
+        assert exact_by_permutations(inst) == 3
+
+    def test_unique_optimum_by_hand(self):
+        # path 0-1-2-3-4-5-6 with the pendant path 3-7-8. Each commodity must
+        # at least join its ends: d(0,3) + d(6,4) + 0 = 5. Vertices 1, 2 lie
+        # on 0's shortest way to 3 and 5 on 6's way to 4, for free; vertex 8
+        # costs the depot at 7 a round trip of 2, and any other commodity at
+        # least 4. So the optimum is 7, with only one assignment and order.
+        edges = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [3, 7], [7, 8]]
+        inst = Instance(Graph(9, edges), ((0, 3), (6, 4), (7, 7)))
+        result = exact_opt(inst)
+        assert result.cost == 7
+        assert result.assignment == (frozenset({1, 2}), frozenset({5}), frozenset({8}))
+        assert result.orders == ((0, 1, 2, 3), (6, 5, 4), (7, 8, 7))
+        assert exact_by_permutations(inst) == 7
 
 
 class TestCutCheck:

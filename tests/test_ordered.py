@@ -165,8 +165,6 @@ class TestValidateOrdered:
         assert ok, why
 
     def test_rejects_swapped_walks(self, triangle):
-        from multipath_tsp.ordered import OrderedSolution
-
-        bad = OrderedSolution(((0, 2), (1, 2), (2, 1, 0)), 5)
+        bad = Solution(((0, 2), (1, 2), (2, 1, 0)), 5)
         ok, why = validate_ordered(triangle, bad)
         assert not ok
