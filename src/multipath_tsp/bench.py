@@ -49,6 +49,14 @@ class BenchConfig:
     oracle_limit: int = 10
     inputs: tuple[str, ...] = ()     # instance files overriding generation
 
+    def __post_init__(self):
+        limits = {"count": (0, math.inf), "trials": (0, math.inf), "extra_edges": (0, math.inf),
+                  "workers": (1, math.inf), "edge_prob": (0, 1), "depot_fraction": (0, 1)}
+        for name, (low, high) in limits.items():
+            value = getattr(self, name)
+            if value is not None and not low <= value <= high:  # NaN fails too
+                raise GenerationError(f"invalid setting: {name} = {value} is outside [{low}, {high}]")
+
 
 def _random_connected_graph(rng: random.Random, n: int, cfg: BenchConfig) -> Graph:
     if n == 1:

@@ -197,9 +197,9 @@ def min_cut(net: CapacitatedNetwork, s: int, t: int) -> tuple[float, frozenset[i
     n = dig.base.n
     num_arcs = dig.num_arcs
     # Residual edge 2a is arc a forward, 2a+1 its reverse (initially empty).
-    res = np.empty(2 * num_arcs)
-    res[0::2] = net.capacity
-    res[1::2] = 0.0
+    # A plain list: the loops below read and write it one scalar at a time.
+    res = [0.0] * (2 * num_arcs)
+    res[0::2] = net.capacity.tolist()
     heads = dig.residual_heads
     incident = dig.residual_incident
 

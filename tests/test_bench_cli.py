@@ -265,6 +265,21 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: generation failed: empty")
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--count", "-1"],
+        ["bench", "--count", "2", "--workers", "0"],
+        ["bench", "--count", "2", "--workers", "-1"],
+        ["bench", "--count", "2", "--trials", "-1"],
+        ["gen", "--extra-edges", "-3"],
+        ["gen", "--edge-prob", "1.5"],
+        ["gen", "--edge-prob", "-0.1"],
+        ["gen", "--depot-fraction", "2"],
+        ["gen", "--depot-fraction", "nan"],
+    ])
+    def test_out_of_range_setting_is_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: invalid setting: ")
+
     def test_gen_then_solve(self, tmp_path, capsys):
         out_file = tmp_path / "inst.json"
         assert main(["gen", "--mode", "multipath", "--n-min", "5", "--n-max", "8",

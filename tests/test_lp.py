@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from multipath_tsp.errors import OracleLimitError
+import multipath_tsp.lp as lp
+from multipath_tsp.errors import InternalError, OracleLimitError
 from multipath_tsp.exact import brute_force_cut_check, exact_opt
 from multipath_tsp.graphs import BidirectedGraph, Graph
 from multipath_tsp.instances import Instance
 from multipath_tsp.lp import (
+    DUAL_EDGE_WEIGHTS,
     EPS_LP,
     EPS_OBJ,
     EPS_SEP,
@@ -127,6 +129,18 @@ class TestModelShape:
         assert "x_1_4_0" in text
         assert "z_0_0" in text
         assert ">=" in text and "minimize" in text
+
+
+class TestHighsOptions:
+    def test_dual_pricing_is_devex(self, path3):
+        _, value = LpModel(path3)._highs.getOptionValue("simplex_dual_edge_weight_strategy")
+        assert value == DUAL_EDGE_WEIGHTS == 1
+
+    def test_rejected_option_raises(self, path3, monkeypatch):
+        # HiGHS keeps its old setting on an out-of-range value (the range is -1..2)
+        monkeypatch.setattr(lp, "DUAL_EDGE_WEIGHTS", 3)
+        with pytest.raises(InternalError):
+            LpModel(path3)
 
 
 class TestSolveValues:
