@@ -2,9 +2,9 @@
 unit-cost graphs, built around a flow relaxation with lazily separated
 connectivity cuts.
 
-Each solver family solves the LP once per instance: `prepare` (or
-`prepare_ordered`) builds a plan, and the `run_*` functions reuse it. The
-`solve_*` functions are one-shot wrappers that prepare a fresh plan.
+Every solver solves the LP once per instance: `prepare` builds one plan
+for a commodity or an ordered instance, and the `run_*` functions reuse it.
+The `solve_*` functions are one-shot wrappers that prepare a fresh plan.
 """
 
 from .bench import BenchConfig, generate, run_bench
@@ -31,8 +31,8 @@ from .instances import (
 )
 from .lp import solve_lp
 from .multipath import CostReport, prepare, run_derandomized, run_trial, solve_derandomized, solve_randomized
-from .ordered import prepare_ordered, run_ordered_trial, solve_ordered, validate_ordered
-from .vrp import CombinerReport, VrpInstance, run_combiner, solve_combiner, solve_vrp_forest
+from .ordered import run_ordered_trial, solve_ordered, validate_ordered
+from .vrp import CombinerReport, run_combiner, solve_combiner, solve_vrp_forest
 
 __all__ = [
     "BenchConfig",
@@ -50,13 +50,11 @@ __all__ = [
     "OrderedInstance",
     "Solution",
     "ToolkitError",
-    "VrpInstance",
     "exact_opt",
     "generate",
     "load_instance",
     "load_solution",
     "prepare",
-    "prepare_ordered",
     "reconstruct_walks",
     "run_bench",
     "run_combiner",

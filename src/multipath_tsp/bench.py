@@ -21,8 +21,8 @@ from .instances import (
     AnyInstance, Instance, OrderedInstance, Solution, load_instance, read_text, validate_solution,
 )
 from .multipath import prepare, run_derandomized, run_trial
-from .ordered import prepare_ordered, run_ordered_trial
-from .vrp import VrpInstance, run_combiner, solve_vrp_forest
+from .ordered import run_ordered_trial
+from .vrp import run_combiner, solve_vrp_forest
 
 SCHEMA_VERSION = 1
 MAX_GENERATION_RETRIES = 200
@@ -115,32 +115,41 @@ def _row_seed(cfg: BenchConfig, index: int) -> int:
     return cfg.seed * 1_000_003 + index
 
 
-def _checked_cost(inst: Instance, sol: Solution) -> int:
+def _checked_cost(inst: AnyInstance, sol: Solution) -> int:
     ok, why = validate_solution(inst, sol)
     if not ok:
         raise ToolkitError(f"solution failed validation: {why}")
     return sum(len(w) - 1 for w in sol.walks)
 
 
+def _opt(cfg: BenchConfig, inst: AnyInstance) -> int | None:
+    """The exact optimum, or None when the instance exceeds the oracle's limits."""
+    try:
+        return exact_opt(inst, limit_free=cfg.oracle_limit).cost
+    except OracleLimitError:
+        return None
+
+
+def _ratio(num: float | None, den: float | None) -> float | None:
+    """num / den, 1.0 for a zero denominator, None when either is unknown."""
+    if num is None or den is None:
+        return None
+    return num / den if den > 0 else 1.0
+
+
 def _multipath_row(cfg: BenchConfig, inst: Instance, row: dict) -> None:
     plan = prepare(inst)
-    row["lp"] = plan.lp.objective
+    lp = row["lp"] = plan.lp.objective
     sol_d, _rep = run_derandomized(plan)
     cost_d = _checked_cost(inst, sol_d)
     row["cost_derandomized"] = cost_d
-    row["ratio_derand_lp"] = cost_d / plan.lp.objective if plan.lp.objective > 0 else 1.0
+    row["ratio_derand_lp"] = _ratio(cost_d, lp)
     sol_c, crep = run_combiner(plan)
     row["cost_combiner"] = _checked_cost(inst, sol_c)
     row["combiner_winner"] = crep.winner
-    try:
-        res = exact_opt(inst, limit_free=cfg.oracle_limit)
-        row["opt"] = res.cost
-        row["ratio_derand_opt"] = cost_d / res.cost if res.cost > 0 else 1.0
-        row["gap_opt_lp"] = res.cost / plan.lp.objective if plan.lp.objective > 0 else 1.0
-    except OracleLimitError:
-        row["opt"] = None
-        row["ratio_derand_opt"] = None
-        row["gap_opt_lp"] = None
+    opt = row["opt"] = _opt(cfg, inst)
+    row["ratio_derand_opt"] = _ratio(cost_d, opt)
+    row["gap_opt_lp"] = _ratio(opt, lp)
     if cfg.trials > 0:
         costs = []
         for trial in range(cfg.trials):
@@ -151,14 +160,14 @@ def _multipath_row(cfg: BenchConfig, inst: Instance, row: dict) -> None:
 
 
 def _ordered_row(cfg: BenchConfig, inst: OrderedInstance, row: dict) -> None:
-    plan = prepare_ordered(inst)
-    row["lp"] = plan.lp.objective
+    plan = prepare(inst)
+    lp = row["lp"] = plan.lp.objective
     trials = max(1, cfg.trials)
     costs = []
     max_join = 0
     for trial in range(trials):
         sol, rep, join = run_ordered_trial(plan, _row_seed(cfg, row["index"]) * 31 + trial)
-        ok, why = validate_solution(plan.base, sol)
+        ok, why = validate_solution(inst, sol)
         if not ok:
             raise ToolkitError(f"ordered solution failed validation: {why}")
         costs.append(sol.cost)
@@ -166,29 +175,17 @@ def _ordered_row(cfg: BenchConfig, inst: OrderedInstance, row: dict) -> None:
     mean = sum(costs) / len(costs)
     row["mean_cost"] = mean
     row["std_cost"] = math.sqrt(sum((c - mean) ** 2 for c in costs) / len(costs))
-    row["mean_ratio"] = mean / plan.lp.objective if plan.lp.objective > 0 else 1.0
+    row["mean_ratio"] = _ratio(mean, lp)
     row["max_join"] = max_join
-    row["join_bound"] = plan.lp.objective / 2.0
-    try:
-        res = exact_opt(plan.base, limit_free=cfg.oracle_limit)
-        row["opt"] = res.cost
-        row["gap_opt_lp"] = res.cost / plan.lp.objective if plan.lp.objective > 0 else 1.0
-    except OracleLimitError:
-        row["opt"] = None
-        row["gap_opt_lp"] = None
+    row["join_bound"] = lp / 2.0
+    opt = row["opt"] = _opt(cfg, inst)
+    row["gap_opt_lp"] = _ratio(opt, lp)
 
 
 def _vrp_row(cfg: BenchConfig, inst: Instance, row: dict) -> None:
-    vrp = VrpInstance.from_instance(inst)
-    sol = solve_vrp_forest(vrp)
-    row["cost_forest"] = _checked_cost(inst, sol)
-    try:
-        res = exact_opt(inst, limit_free=cfg.oracle_limit)
-        row["opt"] = res.cost
-        row["ratio_forest_opt"] = row["cost_forest"] / res.cost if res.cost > 0 else 1.0
-    except OracleLimitError:
-        row["opt"] = None
-        row["ratio_forest_opt"] = None
+    cost = row["cost_forest"] = _checked_cost(inst, solve_vrp_forest(inst))
+    opt = row["opt"] = _opt(cfg, inst)
+    row["ratio_forest_opt"] = _ratio(cost, opt)
 
 
 def bench_row(cfg: BenchConfig, index: int) -> dict:

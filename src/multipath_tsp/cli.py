@@ -10,7 +10,7 @@ import argparse
 import json
 import statistics
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .bench import BenchConfig, export_dot, format_table, generate, report_json, run_bench
 from .decomposition import decompose
@@ -26,10 +26,10 @@ from .instances import (
     save_solution,
 )
 from .lp import LpModel, solve_lp
-from .multipath import solve_derandomized, solve_randomized
-from .ordered import prepare_ordered, run_ordered_trial
+from .multipath import prepare, solve_derandomized, solve_randomized
+from .ordered import run_ordered_trial
 from .parity import min_tjoin
-from .vrp import VrpInstance, solve_combiner, solve_vrp_forest
+from .vrp import solve_combiner, solve_vrp_forest
 
 
 def _read_instance(path: str):
@@ -71,7 +71,7 @@ def _cmd_solve_multipath(args) -> None:
 
 def _cmd_solve_ordered(args) -> None:
     inst = _require_ordered(_read_instance(args.input), "solve-ordered")
-    plan = prepare_ordered(inst)
+    plan = prepare(inst)
     if args.trials and args.trials > 1:
         costs, ratios = [], []
         for trial in range(args.trials):
@@ -95,7 +95,7 @@ def _cmd_solve_ordered(args) -> None:
 
 def _cmd_solve_vrp(args) -> None:
     inst = _require_plain(_read_instance(args.input), "solve-vrp")
-    sol = solve_vrp_forest(VrpInstance.from_instance(inst))
+    sol = solve_vrp_forest(inst)
     _emit(save_solution(sol) + "\n", args.output)
 
 
@@ -117,10 +117,9 @@ def _cmd_exact(args) -> None:
 
 def _cmd_lp(args) -> None:
     inst = _read_instance(args.input)
-    base = inst.to_instance() if isinstance(inst, OrderedInstance) else inst
-    sol = solve_lp(base)
+    sol = solve_lp(inst)
     if args.dump_lp:
-        model = LpModel(base)
+        model = LpModel(inst)
         for cut in sol.cuts:
             model.add_cut(cut)
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
@@ -130,16 +129,15 @@ def _cmd_lp(args) -> None:
 
 def _cmd_decompose(args) -> None:
     inst = _read_instance(args.input)
-    base = inst.to_instance() if isinstance(inst, OrderedInstance) else inst
-    sol = solve_lp(base)
-    dec = decompose(base, sol)
+    sol = solve_lp(inst)
+    dec = decompose(inst, sol)
     payload = {
         "commodities": [
             {
                 "paths": [{"vertices": list(p.vertices), "weight": p.weight} for p in dec.paths[i]],
                 "cycles": [{"vertices": list(c.vertices), "weight": c.weight} for c in dec.cycles[i]],
             }
-            for i in range(base.k)
+            for i in range(inst.k)
         ]
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
@@ -166,39 +164,20 @@ def _cmd_tjoin(args) -> None:
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
 
 
+def _config(args) -> BenchConfig:
+    """The BenchConfig of a `gen` or `bench` command line; flags the command
+    lacks keep their defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(BenchConfig) if hasattr(args, f.name)}
+    return BenchConfig(**given, inputs=tuple(getattr(args, "input", None) or ()))
+
+
 def _cmd_gen(args) -> None:
-    cfg = BenchConfig(
-        mode=args.mode,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        extra_edges=args.extra_edges,
-        edge_prob=args.edge_prob,
-        depot_fraction=args.depot_fraction,
-        seed=args.seed,
-    )
-    inst = generate(cfg, args.seed)
+    inst = generate(_config(args), args.seed)
     _emit(save_instance(inst) + "\n", args.output)
 
 
 def _cmd_bench(args) -> None:
-    cfg = BenchConfig(
-        mode=args.mode,
-        count=args.count,
-        n_min=args.n_min,
-        n_max=args.n_max,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        extra_edges=args.extra_edges,
-        edge_prob=args.edge_prob,
-        depot_fraction=args.depot_fraction,
-        seed=args.seed,
-        trials=args.trials,
-        workers=args.workers,
-        inputs=tuple(args.input or ()),
-    )
-    report = run_bench(cfg)
+    report = run_bench(_config(args))
     sys.stdout.write(format_table(report))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -209,6 +188,23 @@ def _cmd_export_dot(args) -> None:
     inst = _read_instance(args.input)
     sol = load_solution(read_text(args.solution))
     _emit(export_dot(inst, sol), args.output)
+
+
+_GENERATOR_FLAGS = ("mode", "n_min", "n_max", "k_min", "k_max", "extra_edges", "edge_prob", "depot_fraction", "seed")
+
+
+def _add_config_flags(sub, names: tuple[str, ...]) -> None:
+    """One flag per named BenchConfig field, in field order, defaulting to
+    the field's default."""
+    for f in fields(BenchConfig):
+        if f.name not in names:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "mode":
+            sub.add_argument(flag, choices=("multipath", "ordered", "vrp"), default=f.default)
+        else:
+            kind = float if f.name in ("edge_prob", "depot_fraction") else int
+            sub.add_argument(flag, type=kind, default=f.default)
 
 
 def _add_io(sub, output=True):
@@ -261,31 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tjoin)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--mode", choices=("multipath", "ordered", "vrp"), default="multipath")
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--extra-edges", type=int, default=4)
-    p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--depot-fraction", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, _GENERATOR_FLAGS)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="run the experiment harness")
-    p.add_argument("--mode", choices=("multipath", "ordered", "vrp"), default="multipath")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--extra-edges", type=int, default=4)
-    p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--depot-fraction", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    _add_config_flags(p, _GENERATOR_FLAGS + ("count", "trials", "workers"))
     p.add_argument("--input", action="append", help="bench these instance files instead of generating")
     p.add_argument("--output", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_bench)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, InternalError
-from .instances import Instance
+from .instances import AnyInstance
 from .lp import FractionalSolution
 
 EPS_DEC = 1e-6
@@ -38,8 +38,7 @@ class FlowWalk:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    instance: Instance
-    digraph: object  # BidirectedGraph of the solution this came from
+    instance: AnyInstance
     paths: tuple[tuple[FlowWalk, ...], ...]   # per commodity
     cycles: tuple[tuple[FlowWalk, ...], ...]  # per commodity
 
@@ -122,7 +121,7 @@ def _extract_commodity(dig, residual: np.ndarray, s: int, t: int):
     return tuple(paths), tuple(cycles)
 
 
-def decompose(inst: Instance, sol: FractionalSolution) -> Decomposition:
+def decompose(inst: AnyInstance, sol: FractionalSolution) -> Decomposition:
     """Split each commodity's flow into weighted simple paths plus cycles."""
     all_paths = []
     all_cycles = []
@@ -132,10 +131,10 @@ def decompose(inst: Instance, sol: FractionalSolution) -> Decomposition:
         paths, cycles = _extract_commodity(sol.digraph, residual, s, t)
         all_paths.append(paths)
         all_cycles.append(cycles)
-    return Decomposition(inst, sol.digraph, tuple(all_paths), tuple(all_cycles))
+    return Decomposition(inst, tuple(all_paths), tuple(all_cycles))
 
 
-def path_mass(inst: Instance, dec: Decomposition) -> np.ndarray:
+def path_mass(inst: AnyInstance, dec: Decomposition) -> np.ndarray:
     """(k, n) weight of the simple paths of commodity i through vertex v; the
     sink of each commodity stays zero."""
     values = np.zeros((inst.k, inst.graph.n))

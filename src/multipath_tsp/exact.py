@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OracleLimitError
 from .graphs import all_pairs_distances, descend
-from .instances import Instance, Solution
+from .instances import AnyInstance, Solution
 from .lp import EPS_LP, FractionalSolution
 
 INF = float("inf")
@@ -130,7 +130,7 @@ def _cover_step(prev: np.ndarray, cost_i: np.ndarray, f: int) -> tuple[np.ndarra
     return cur, pick
 
 
-def exact_opt(inst: Instance, limit_free: int = 10, limit_dp: int = 14) -> ExactResult:
+def exact_opt(inst: AnyInstance, limit_free: int = 10, limit_dp: int = 14) -> ExactResult:
     """Minimum total walk cost, exact, for desk-scale instances."""
     g = inst.graph
     free = sorted(set(range(g.n)) - inst.terminals)
@@ -165,7 +165,7 @@ def exact_opt(inst: Instance, limit_free: int = 10, limit_dp: int = 14) -> Exact
     return ExactResult(int(total), assignment, orders)
 
 
-def reconstruct_walks(inst: Instance, result: ExactResult) -> Solution:
+def reconstruct_walks(inst: AnyInstance, result: ExactResult) -> Solution:
     """Expand an oracle result into graph walks via shortest paths."""
     g = inst.graph
     dists = all_pairs_distances(g)
@@ -181,7 +181,7 @@ def reconstruct_walks(inst: Instance, result: ExactResult) -> Solution:
 
 
 def brute_force_cut_check(
-    inst: Instance, sol: FractionalSolution, eps: float = EPS_LP
+    inst: AnyInstance, sol: FractionalSolution, eps: float = EPS_LP
 ) -> tuple[bool, tuple[int, int, frozenset[int]] | None]:
     """Verify every cut constraint by enumerating all vertex subsets.
 

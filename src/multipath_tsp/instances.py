@@ -11,14 +11,42 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
 
 from .errors import InstanceError
 from .graphs import Graph, is_connected
 
 
+class AnyInstance:
+    """What every instance type shares: a connected `graph` and its
+    `commodities`, from which k, sources, sinks and terminals derive.
+
+    The solvers, the LP and the oracle read only these, so they take either
+    type directly.
+    """
+
+    graph: Graph
+    commodities: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def k(self) -> int:
+        return len(self.commodities)
+
+    @cached_property
+    def sources(self) -> frozenset[int]:
+        return frozenset(s for s, _ in self.commodities)
+
+    @cached_property
+    def sinks(self) -> frozenset[int]:
+        return frozenset(t for _, t in self.commodities)
+
+    @cached_property
+    def terminals(self) -> frozenset[int]:
+        return self.sources | self.sinks
+
+
 @dataclass(frozen=True)
-class Instance:
+class Instance(AnyInstance):
     """A connected unit-cost graph plus k source-sink pairs.
 
     Pairs must be pairwise distinct as tuples; s_i == t_i is allowed and
@@ -41,26 +69,11 @@ class Instance:
         if not is_connected(self.graph):
             raise InstanceError("disconnected", "instance graph must be connected")
 
-    @property
-    def k(self) -> int:
-        return len(self.commodities)
-
-    @property
-    def sources(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.commodities)
-
-    @property
-    def sinks(self) -> frozenset[int]:
-        return frozenset(t for _, t in self.commodities)
-
-    @property
-    def terminals(self) -> frozenset[int]:
-        return self.sources | self.sinks
-
 
 @dataclass(frozen=True)
-class OrderedInstance:
-    """A connected unit-cost graph plus a cyclic sequence of distinct terminals."""
+class OrderedInstance(AnyInstance):
+    """A connected unit-cost graph plus a cyclic sequence of distinct
+    terminals; commodity i runs from o_i to o_{i+1}, cyclically."""
 
     graph: Graph
     order: tuple[int, ...]
@@ -78,16 +91,14 @@ class OrderedInstance:
         if not is_connected(self.graph):
             raise InstanceError("disconnected", "instance graph must be connected")
 
-    @property
-    def k(self) -> int:
-        return len(self.order)
-
-    @property
+    @cached_property
     def commodities(self) -> tuple[tuple[int, int], ...]:
         k = len(self.order)
         return tuple((self.order[i], self.order[(i + 1) % k]) for i in range(k))
 
     def to_instance(self) -> Instance:
+        """The same commodities as a plain Instance. Nothing in the package
+        needs it; perfbench/make_reference.py still calls it."""
         return Instance(self.graph, self.commodities)
 
 
@@ -97,9 +108,6 @@ class Solution:
 
     walks: tuple[tuple[int, ...], ...]
     cost: int
-
-
-AnyInstance = Union[Instance, OrderedInstance]
 
 
 def validate_solution(inst: AnyInstance, sol: Solution) -> tuple[bool, str | None]:

@@ -24,7 +24,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixF
 
 from .errors import InternalError, LpError
 from .graphs import BidirectedGraph, CapacitatedNetwork, min_cut
-from .instances import Instance
+from .instances import AnyInstance
 
 EPS_LP = 1e-7       # row satisfaction tolerance
 EPS_SEP = 1e-6      # cut violation threshold
@@ -72,7 +72,7 @@ class LpModel:
     workers.
     """
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: AnyInstance):
         self.instance = inst
         self.digraph = BidirectedGraph(inst.graph)
         n, k = inst.graph.n, inst.k
@@ -208,7 +208,7 @@ class FractionalSolution:
     `cover` holds the capped coverage variables the cut rows act on.
     """
 
-    instance: Instance
+    instance: AnyInstance
     digraph: BidirectedGraph
     flows: np.ndarray          # shape (k, num_arcs)
     cover: np.ndarray          # shape (k, n), zero at sink columns
@@ -220,7 +220,7 @@ def _flow_across(sol: FractionalSolution, i: int, members: frozenset[int]) -> fl
     return float(sum(sol.flows[i, a] for a in _leaving_arcs(sol.digraph, members)))
 
 
-def separate(inst: Instance, sol: FractionalSolution) -> list[CutConstraint]:
+def separate(inst: AnyInstance, sol: FractionalSolution) -> list[CutConstraint]:
     """Violated cut constraints for the given solution, one min-cut per (i, v).
 
     For each commodity i and vertex v outside the sink set with coverage
@@ -247,7 +247,7 @@ def separate(inst: Instance, sol: FractionalSolution) -> list[CutConstraint]:
 
 
 def solve_lp(
-    inst: Instance,
+    inst: AnyInstance,
     on_round: Callable[[FractionalSolution, list[CutConstraint]], None] | None = None,
 ) -> FractionalSolution:
     """Cutting-plane loop: solve, separate, add cuts, repeat until clean.

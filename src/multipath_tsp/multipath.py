@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .decomposition import Decomposition, decompose, path_mass
 from .errors import InternalError
-from .graphs import Graph
-from .instances import Instance, Solution, validate_solution
+from .graphs import Graph, all_pairs_distances
+from .instances import AnyInstance, Instance, Solution, validate_solution
 from .lp import EPS_OBJ, FractionalSolution, solve_lp
 
 
@@ -56,18 +57,28 @@ def make_report(sampling: int, reconnection: int, parity: int, lp_objective: flo
 @dataclass(frozen=True, eq=False)
 class SolverPlan:
     """LP optimum and decomposition, reusable across every solver run on
-    the instance: sampling trials, the derandomized pass and the combiner."""
+    the instance: sampling trials, the derandomized pass, the combiner and
+    ordered trials. `mass` and `dists` are computed on first use, so a plan
+    only pays for what its solvers read."""
 
-    instance: Instance
+    instance: AnyInstance
     lp: FractionalSolution
     decomposition: Decomposition
-    mass: np.ndarray  # (k, n) path mass, see `path_mass`
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """(k, n) path mass (see `path_mass`), read by the derandomized pass."""
+        return path_mass(self.instance, self.decomposition)
+
+    @cached_property
+    def dists(self) -> list[list[int]]:
+        """All-pairs distances, read by the ordered join."""
+        return all_pairs_distances(self.instance.graph)
 
 
-def prepare(inst: Instance) -> SolverPlan:
+def prepare(inst: AnyInstance) -> SolverPlan:
     lp_sol = solve_lp(inst)
-    dec = decompose(inst, lp_sol)
-    return SolverPlan(inst, lp_sol, dec, path_mass(inst, dec))
+    return SolverPlan(inst, lp_sol, decompose(inst, lp_sol))
 
 
 def _state(dec: Decomposition, chosen: list[int | None]) -> SamplerState:
@@ -127,7 +138,7 @@ def attachment_order(graph: Graph, covered: set[int]) -> list[tuple[int, int]]:
     return steps
 
 
-def reconnect(inst: Instance, state: SamplerState) -> SamplerState:
+def reconnect(inst: AnyInstance, state: SamplerState) -> SamplerState:
     """Attach every pending vertex with a doubled detour (cost two each).
 
     The detour [w, v, w] is spliced at the first occurrence of w in the
@@ -198,13 +209,17 @@ def derandomize_choices(dec: Decomposition, mass: np.ndarray) -> tuple[list[int 
 
     outside = set(range(n)) - inst.terminals
     fixed_len = 0
+
+    def potential(h: int) -> float:
+        """The potential once commodities 0..h-1 are fixed."""
+        return fixed_len + tail[h] + 2.0 * sum(sp[h, v] for v in outside)
+
     choices: list[int | None] = []
-    phi0 = tail[0] + 2.0 * sum(sp[0, v] for v in outside)
-    trace = [phi0]
+    trace = [potential(0)]
     for h in range(k):
         if not dec.paths[h]:
             choices.append(None)
-            trace.append(fixed_len + tail[h + 1] + 2.0 * sum(sp[h + 1, v] for v in outside))
+            trace.append(potential(h + 1))
             continue
         base = sum(sp[h + 1, v] for v in outside)
         best_j = 0
@@ -219,7 +234,7 @@ def derandomize_choices(dec: Decomposition, mass: np.ndarray) -> tuple[list[int 
         chosen = dec.paths[h][best_j]
         fixed_len += len(chosen.arcs)
         outside -= set(chosen.vertices)
-        trace.append(fixed_len + tail[h + 1] + 2.0 * sum(sp[h + 1, v] for v in outside))
+        trace.append(potential(h + 1))
     return choices, trace
 
 

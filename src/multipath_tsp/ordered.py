@@ -10,31 +10,15 @@ sampled walks without disturbing the terminal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .decomposition import Decomposition, decompose
 from .errors import InternalError
-from .graphs import all_pairs_distances
-from .instances import Instance, OrderedInstance, Solution, validate_solution
-from .lp import EPS_OBJ, FractionalSolution, solve_lp
-from .multipath import CostReport, attachment_order, make_report, sample_paths
+from .instances import OrderedInstance, Solution, validate_solution
+from .lp import EPS_OBJ
+from .multipath import CostReport, SolverPlan, attachment_order, make_report, prepare, sample_paths
 from .parity import EdgeMultiset, TJoin, min_tjoin, odd_vertices
 
-
-@dataclass(frozen=True, eq=False)
-class OrderedPlan:
-    instance: OrderedInstance
-    base: Instance
-    lp: FractionalSolution
-    decomposition: Decomposition
-    dists: list[list[int]]
-
-
-def prepare_ordered(inst: OrderedInstance) -> OrderedPlan:
-    base = inst.to_instance()
-    lp_sol = solve_lp(base)
-    dec = decompose(base, lp_sol)
-    return OrderedPlan(inst, base, lp_sol, dec, all_pairs_distances(inst.graph))
+# The ordered solver runs on the same plan as the others; the name stays
+# because perfbench/workloads.py calls it.
+prepare_ordered = prepare
 
 
 def validate_ordered(inst: OrderedInstance, sol: Solution) -> tuple[bool, str | None]:
@@ -130,8 +114,9 @@ def extract_ordered_walks(inst: OrderedInstance, paths, extra: EdgeMultiset) -> 
     return Solution(tuple(tuple(w) for w in walks), sum(len(w) - 1 for w in walks))
 
 
-def run_ordered_trial(plan: OrderedPlan, seed: int) -> tuple[Solution, CostReport, TJoin]:
-    """One sampling + reconnection + parity pass on a prepared plan."""
+def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport, TJoin]:
+    """One sampling + reconnection + parity pass on the plan of an
+    OrderedInstance."""
     inst = plan.instance
     g = inst.graph
     state = sample_paths(plan.decomposition, seed)
@@ -159,5 +144,5 @@ def run_ordered_trial(plan: OrderedPlan, seed: int) -> tuple[Solution, CostRepor
 
 
 def solve_ordered(inst: OrderedInstance, seed: int) -> tuple[Solution, CostReport]:
-    sol, report, _ = run_ordered_trial(prepare_ordered(inst), seed)
+    sol, report, _ = run_ordered_trial(prepare(inst), seed)
     return sol, report

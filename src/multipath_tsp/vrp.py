@@ -20,35 +20,6 @@ from .multipath import SolverPlan, prepare, run_derandomized
 
 
 @dataclass(frozen=True)
-class VrpInstance:
-    """A connected graph with pairwise distinct depot vertices."""
-
-    graph: object
-    depots: tuple[int, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for d in self.depots:
-            if not 0 <= d < self.graph.n:
-                raise InstanceError("index-out-of-range", f"depot {d} outside vertex range")
-            if d in seen:
-                raise InstanceError("duplicate-commodity", f"depot {d} repeated")
-            seen.add(d)
-        if not self.depots:
-            raise InstanceError("schema", "at least one depot required")
-
-    @classmethod
-    def from_instance(cls, inst: Instance) -> "VrpInstance":
-        for s, t in inst.commodities:
-            if s != t:
-                raise InstanceError("not-vrp", f"commodity ({s},{t}) has distinct endpoints")
-        return cls(inst.graph, tuple(s for s, _ in inst.commodities))
-
-    def to_instance(self) -> Instance:
-        return Instance(self.graph, tuple((d, d) for d in self.depots))
-
-
-@dataclass(frozen=True)
 class CombinerReport:
     winner: str                 # "multipath" or "vrp"
     cost_multipath: int
@@ -57,13 +28,20 @@ class CombinerReport:
     distance_sum: int
 
 
-def solve_vrp_forest(vrp: VrpInstance) -> Solution:
-    """Double a nearest-depot spanning forest; one closed walk per depot."""
-    g = vrp.graph
+def solve_vrp_forest(inst: Instance) -> Solution:
+    """Double a nearest-depot spanning forest; one closed walk per depot.
+
+    Every commodity must be a depot (s == t), else `not-vrp`.
+    """
+    for s, t in inst.commodities:
+        if s != t:
+            raise InstanceError("not-vrp", f"commodity ({s},{t}) has distinct endpoints")
+    depots = [s for s, _ in inst.commodities]
+    g = inst.graph
     owner = [-1] * g.n
     parent = [-1] * g.n
     queue = deque()
-    for idx, d in enumerate(vrp.depots):
+    for idx, d in enumerate(depots):
         owner[d] = idx
         queue.append(d)
     while queue:
@@ -73,8 +51,6 @@ def solve_vrp_forest(vrp: VrpInstance) -> Solution:
                 owner[w] = owner[u]
                 parent[w] = u
                 queue.append(w)
-    if -1 in owner:
-        raise InstanceError("disconnected", "graph must be connected")
     children: list[list[int]] = [[] for _ in range(g.n)]
     for v in range(g.n):
         if parent[v] != -1:
@@ -84,7 +60,7 @@ def solve_vrp_forest(vrp: VrpInstance) -> Solution:
 
     walks: list[tuple[int, ...]] = []
     cost = 0
-    for d in vrp.depots:
+    for d in depots:
         walk = [d]
         stack = [(d, iter(children[d]))]
         while stack:
@@ -100,7 +76,7 @@ def solve_vrp_forest(vrp: VrpInstance) -> Solution:
         walks.append(tuple(walk))
         cost += len(walk) - 1
     sol = Solution(tuple(walks), cost)
-    ok, why = validate_solution(vrp.to_instance(), sol)
+    ok, why = validate_solution(inst, sol)
     if not ok:
         raise InternalError(f"forest baseline produced an invalid solution: {why}")
     return sol
@@ -123,8 +99,7 @@ def run_combiner(plan: SolverPlan) -> tuple[Solution, CombinerReport]:
         if s not in first_for_depot:
             first_for_depot[s] = i
             unique.append(s)
-    vrp_inst = VrpInstance(inst.graph, tuple(unique))
-    base_sol = solve_vrp_forest(vrp_inst)
+    base_sol = solve_vrp_forest(Instance(inst.graph, tuple((d, d) for d in unique)))
     base_cost = base_sol.cost
 
     walks: list[tuple[int, ...]] = []

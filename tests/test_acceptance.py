@@ -20,7 +20,7 @@ from multipath_tsp.graphs import Graph
 from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import solve_lp
 from multipath_tsp.multipath import prepare, run_derandomized, run_trial
-from multipath_tsp.ordered import prepare_ordered, run_ordered_trial, validate_ordered
+from multipath_tsp.ordered import run_ordered_trial, validate_ordered
 from multipath_tsp.parity import min_tjoin, tjoin_brute_force
 from multipath_tsp.vrp import run_combiner
 
@@ -157,8 +157,8 @@ def test_criterion_05_ordered_bound(suite):
     worst_margin = -math.inf
     for i in range(100):
         inst = generate(cfg, 50_000 + i)
-        plan = prepare_ordered(inst)
-        suite["lp_solutions"].append((plan.base, plan.lp))
+        plan = prepare(inst)
+        suite["lp_solutions"].append((plan.instance, plan.lp))
         costs = []
         for seed in range(trials):
             sol, rep, join = run_ordered_trial(plan, seed)

@@ -183,6 +183,20 @@ class TestCli:
         assert out["objective"] == pytest.approx(8.0, abs=1e-6)
         assert "x_0_0_4" in dump.read_text()
 
+    def test_ordered_input_prints_what_its_commodities_print(self, tmp_path, capsys):
+        data = json.loads((DATA / "fig1_ordered.json").read_text())
+        order = data.pop("order")
+        data["commodities"] = [[order[i], order[(i + 1) % len(order)]] for i in range(len(order))]
+        pairs_file = tmp_path / "pairs.json"
+        pairs_file.write_text(json.dumps(data))
+        printed = {}
+        for name, path in (("ordered", DATA / "fig1_ordered.json"), ("pairs", pairs_file)):
+            dump = tmp_path / f"{name}.lp"
+            assert main(["lp", "--input", str(path), "--dump-lp", str(dump)]) == 0
+            assert main(["decompose", "--input", str(path)]) == 0
+            printed[name] = (capsys.readouterr().out, dump.read_text())
+        assert printed["ordered"] == printed["pairs"]
+
     def test_solve_multipath_seeded(self, tmp_path, capsys):
         report_file = tmp_path / "report.json"
         code = main([

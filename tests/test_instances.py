@@ -102,7 +102,9 @@ class TestOrderedDerivation:
     def test_derived_commodities_cycle(self):
         inst = OrderedInstance(Graph(4, [[0, 1], [1, 2], [2, 3], [0, 3]]), (0, 2, 3))
         assert inst.commodities == ((0, 2), (2, 3), (3, 0))
-        assert inst.to_instance().k == 3
+        assert inst.k == 3
+        assert inst.sinks == {0, 2, 3}
+        assert inst.terminals == {0, 2, 3}
 
     def test_two_terminals_allowed(self):
         inst = OrderedInstance(Graph(2, [[0, 1]]), (0, 1))

@@ -178,6 +178,14 @@ class TestDerandomized:
             _, report = run_derandomized(plan)
             assert report.total == pytest.approx(trace[-1], abs=1e-6)
 
+    def test_plan_computes_mass_on_first_use(self, fig1):
+        plan = prepare(fig1)
+        run_trial(plan, 0)
+        assert "mass" not in vars(plan)
+        run_derandomized(plan)
+        assert np.array_equal(vars(plan)["mass"], path_mass(fig1, plan.decomposition))
+        assert "dists" not in vars(plan)  # only the ordered join reads it
+
     def test_plan_run_matches_instance_wrapper(self, fig1):
         for inst in [fig1] + random_instances("multipath", 20, seed=43, n_max=10):
             assert run_derandomized(prepare(inst)) == solve_derandomized(inst)

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from multipath_tsp.errors import InternalError
 from multipath_tsp.graphs import Graph
-from multipath_tsp.instances import OrderedInstance, Solution, validate_solution
+from multipath_tsp.instances import Instance, OrderedInstance, Solution, validate_solution
+from multipath_tsp.multipath import prepare
 from multipath_tsp.ordered import (
     extract_ordered_walks,
     prepare_ordered,
@@ -33,8 +35,19 @@ class TestSolveOrdered:
         assert report.parity == 0 and report.reconnection == 0
         assert report.ratio == pytest.approx(1.0)
 
+    def test_plan_matches_the_commodity_instance(self, fig1_ordered):
+        assert prepare_ordered is prepare
+        plan = prepare(fig1_ordered)
+        same = prepare(Instance(fig1_ordered.graph, fig1_ordered.commodities))
+        assert np.array_equal(plan.lp.flows, same.lp.flows)
+        assert plan.lp.cuts == same.lp.cuts
+        assert plan.decomposition.paths == same.decomposition.paths
+        run_ordered_trial(plan, 0)
+        # the join reads the distances; nothing on the ordered path reads the path mass
+        assert "dists" in vars(plan) and "mass" not in vars(plan)
+
     def test_fig1_order_every_seed(self, fig1_ordered):
-        plan = prepare_ordered(fig1_ordered)
+        plan = prepare(fig1_ordered)
         lp = plan.lp.objective
         for seed in range(150):
             sol, report, join = run_ordered_trial(plan, seed)
@@ -48,7 +61,7 @@ class TestSolveOrdered:
         # per-instance mean over seeds stays within the guarantee plus noise
         bound = 1.7911
         for inst in random_instances("ordered", 12, seed=23, n_max=10):
-            plan = prepare_ordered(inst)
+            plan = prepare(inst)
             costs = []
             for seed in range(120):
                 sol, report, _ = run_ordered_trial(plan, seed)
@@ -104,7 +117,7 @@ class TestExtraction:
 
     def test_edge_multiset_conserved(self):
         for inst in random_instances("ordered", 20, seed=57, n_max=10):
-            plan = prepare_ordered(inst)
+            plan = prepare(inst)
             for seed in (0, 1):
                 sol, report, join = run_ordered_trial(plan, seed)
                 assert sol.cost == report.sampling + report.reconnection + report.parity
@@ -117,7 +130,7 @@ class TestExtraction:
         from multipath_tsp.parity import min_tjoin, odd_vertices
 
         for inst in random_instances("ordered", 15, seed=83, n_max=10):
-            plan = prepare_ordered(inst)
+            plan = prepare(inst)
             g = inst.graph
             state = sample_paths(plan.decomposition, 2)
             extra = EdgeMultiset(g)
@@ -160,7 +173,7 @@ class TestValidateOrdered:
         sol, _ = solve_ordered(fig1_ordered, 3)
         ok, why = validate_ordered(fig1_ordered, sol)
         assert ok, why
-        base = fig1_ordered.to_instance()
+        base = Instance(fig1_ordered.graph, fig1_ordered.commodities)
         ok, why = validate_solution(base, Solution(sol.walks, sol.cost))
         assert ok, why
 

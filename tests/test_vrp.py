@@ -5,63 +5,56 @@ from multipath_tsp.exact import exact_opt
 from multipath_tsp.graphs import Graph, bfs_distances
 from multipath_tsp.instances import Instance, validate_solution
 from multipath_tsp.multipath import prepare, run_derandomized
-from multipath_tsp.vrp import VrpInstance, run_combiner, solve_combiner, solve_vrp_forest
+from multipath_tsp.vrp import run_combiner, solve_combiner, solve_vrp_forest
 
 from conftest import random_instances
 
 
-class TestVrpInstance:
-    def test_from_instance_requires_equal_endpoints(self, fig1):
-        with pytest.raises(InstanceError) as err:
-            VrpInstance.from_instance(fig1)
-        assert err.value.code == "not-vrp"
-
-    def test_round_trip(self):
-        inst = Instance(Graph(3, [[0, 1], [1, 2]]), ((0, 0), (2, 2)))
-        vrp = VrpInstance.from_instance(inst)
-        assert vrp.depots == (0, 2)
-        assert vrp.to_instance() == inst
+def _depots(graph: Graph, depots: tuple[int, ...]) -> Instance:
+    return Instance(graph, tuple((d, d) for d in depots))
 
 
 class TestForestBaseline:
+    def test_requires_equal_endpoints(self, fig1):
+        with pytest.raises(InstanceError) as err:
+            solve_vrp_forest(fig1)
+        assert err.value.code == "not-vrp"
+
     def test_all_vertices_are_depots(self):
         g = Graph(4, [[0, 1], [1, 2], [2, 3]])
-        vrp = VrpInstance(g, (0, 1, 2, 3))
-        sol = solve_vrp_forest(vrp)
+        sol = solve_vrp_forest(_depots(g, (0, 1, 2, 3)))
         assert sol.cost == 0
         assert sol.walks == ((0,), (1,), (2,), (3,))
 
     def test_star_single_depot(self):
         n = 7
-        vrp = VrpInstance(Graph(n, [[0, i] for i in range(1, n)]), (0,))
-        sol = solve_vrp_forest(vrp)
+        sol = solve_vrp_forest(_depots(Graph(n, [[0, i] for i in range(1, n)]), (0,)))
         assert sol.cost == 2 * (n - 1)
 
     def test_fig1_depots(self, fig1):
-        vrp = VrpInstance(fig1.graph, (0, 1))
-        sol = solve_vrp_forest(vrp)
+        inst = _depots(fig1.graph, (0, 1))
+        sol = solve_vrp_forest(inst)
         assert sol.cost == 2 * (10 - 2)
-        opt = exact_opt(vrp.to_instance()).cost
+        opt = exact_opt(inst).cost
         assert sol.cost <= 2 * opt
-        ok, why = validate_solution(vrp.to_instance(), sol)
+        ok, why = validate_solution(inst, sol)
         assert ok, why
 
     def test_forest_edge_count_and_nearest_depot(self):
         for inst in random_instances("vrp", 30, seed=19, n_max=10):
-            vrp = VrpInstance.from_instance(inst)
-            sol = solve_vrp_forest(vrp)
-            assert sol.cost == 2 * (inst.graph.n - vrp.to_instance().k)
+            sol = solve_vrp_forest(inst)
+            assert sol.cost == 2 * (inst.graph.n - inst.k)
             ok, why = validate_solution(inst, sol)
             assert ok, why
             # every vertex sits in the walk of a nearest depot
-            dists = {d: bfs_distances(inst.graph, d) for d in vrp.depots}
-            for i, d in enumerate(vrp.depots):
+            depots = [d for d, _ in inst.commodities]
+            dists = {d: bfs_distances(inst.graph, d) for d in depots}
+            for i, d in enumerate(depots):
                 for v in sol.walks[i]:
                     assert dists[d][v] == min(dd[v] for dd in dists.values())
 
     def test_tie_goes_to_lowest_depot_index(self):
-        vrp = VrpInstance(Graph(3, [[0, 1], [1, 2]]), (0, 2))
-        sol = solve_vrp_forest(vrp)
+        sol = solve_vrp_forest(_depots(Graph(3, [[0, 1], [1, 2]]), (0, 2)))
         assert sol.walks[0] == (0, 1, 0)
         assert sol.walks[1] == (2,)
 
