@@ -108,7 +108,7 @@ def _cmd_solve_combined(args) -> None:
 
 
 def _cmd_exact(args) -> None:
-    inst = _require_plain(_read_instance(args.input), "exact")
+    inst = _read_instance(args.input)
     result = exact_opt(inst)
     sol = reconstruct_walks(inst, result)
     payload = {"cost": result.cost, "walks": [list(w) for w in sol.walks]}

@@ -24,6 +24,7 @@ from .lp import EPS_LP, FractionalSolution
 
 INF = float("inf")
 PAIR_CHUNK = 1 << 15  # (mask, submask) pairs per min-plus step; bounds the float temporaries
+LIMIT_DP = 14  # most free vertices the partition DP takes, whatever limit_free is
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,15 @@ def _cover_step(prev: np.ndarray, cost_i: np.ndarray, f: int) -> tuple[np.ndarra
     return cur, pick
 
 
-def exact_opt(inst: AnyInstance, limit_free: int = 10, limit_dp: int = 14) -> ExactResult:
+def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
     """Minimum total walk cost, exact, for desk-scale instances."""
     g = inst.graph
     free = sorted(set(range(g.n)) - inst.terminals)
     f = len(free)
-    if f > limit_free or f > limit_dp:
+    if f > limit_free or f > LIMIT_DP:
         raise OracleLimitError(
             f"instance too large: {f} free vertices exceed the oracle limits "
-            f"(limit_free={limit_free}, limit_dp={limit_dp})"
+            f"(limit_free={limit_free}, limit_dp={LIMIT_DP})"
         )
     dist = np.array(all_pairs_distances(g), dtype=float)
     k = inst.k

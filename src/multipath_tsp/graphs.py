@@ -216,7 +216,8 @@ def min_cut(net: CapacitatedNetwork, s: int, t: int) -> tuple[float, frozenset[i
                     level[w] = level[u] + 1
                     queue.append(w)
         if level[t] == UNREACHED:
-            break
+            # this last BFS has marked exactly the residual-reachable set
+            return total, frozenset(v for v in range(n) if level[v] != UNREACHED)
         ptr = [0] * n
         while True:
             # one augmenting path inside the level graph
@@ -250,15 +251,3 @@ def min_cut(net: CapacitatedNetwork, s: int, t: int) -> tuple[float, frozenset[i
                 res[eid] -= bottleneck
                 res[eid ^ 1] += bottleneck
             total += bottleneck
-
-    reach = [False] * n
-    reach[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for eid in incident[u]:
-            w = heads[eid]
-            if not reach[w] and res[eid] > FLOW_EPS:
-                reach[w] = True
-                queue.append(w)
-    return total, frozenset(v for v in range(n) if reach[v])

@@ -1,12 +1,14 @@
-"""Randomized path sampling with doubled-edge reconnection, and its
-conditional-expectation derandomization.
+"""Randomized path sampling with doubled-edge reconnection, its
+conditional-expectation derandomization, and the one splice that turns
+walks plus an even edge multiset into walks.
 
 The pipeline: solve the LP, decompose each commodity's flow, pick one path
 per split commodity (probability = path weight), then attach every vertex
-missed by the sampled paths to an already covered neighbor with a there-and-
-back detour costing two edges. The derandomized variant replaces sampling by
-a greedy choice that never lets the conditional expected total cost grow, so
-its output always costs at most twice the LP optimum.
+missed by the sampled paths to a covered neighbor by a doubled edge and
+splice the doubled edges in as closed excursions, two edges per vertex. The
+derandomized variant replaces sampling by a greedy choice that never lets
+the conditional expected total cost grow, so its output always costs at
+most twice the LP optimum.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ from .errors import InternalError
 from .graphs import Graph, all_pairs_distances
 from .instances import AnyInstance, Instance, Solution, validate_solution
 from .lp import EPS_OBJ, FractionalSolution, solve_lp
+from .parity import EdgeMultiset
 
 
 @dataclass
 class SamplerState:
     """Chosen path index per commodity (None for depot commodities), the
-    working walks, and the covered/pending vertex partition."""
+    sampled walks, and the vertices they cover."""
 
     chosen: tuple[int | None, ...]
     walks: list[list[int]]
     covered: set[int]
-    pending: set[int]
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,7 @@ def _state(dec: Decomposition, chosen: list[int | None]) -> SamplerState:
         [s] if j is None else list(dec.paths[i][j].vertices)
         for i, ((s, _), j) in enumerate(zip(dec.instance.commodities, chosen))
     ]
-    covered = {v for walk in walks for v in walk}
-    return SamplerState(tuple(chosen), walks, covered, set(range(dec.instance.graph.n)) - covered)
+    return SamplerState(tuple(chosen), walks, {v for walk in walks for v in walk})
 
 
 def sample_paths(dec: Decomposition, seed: int) -> SamplerState:
@@ -138,31 +139,95 @@ def attachment_order(graph: Graph, covered: set[int]) -> list[tuple[int, int]]:
     return steps
 
 
-def reconnect(inst: AnyInstance, state: SamplerState) -> SamplerState:
-    """Attach every pending vertex with a doubled detour (cost two each).
+def _euler_circuit(
+    incident: list[list[tuple[int, int]]], used: set[int], ptr: list[int], start: int
+) -> list[int]:
+    """Closed walk from `start` over every token of its component not yet in
+    `used`, adding each token it takes to `used`.
 
-    The detour [w, v, w] is spliced at the first occurrence of w in the
-    lowest-indexed walk containing w, so each walk stays a valid walk with
-    unchanged endpoints.
+    Hierholzer with the lowest available (neighbor, token) taken first, so the
+    output is deterministic. `ptr[v]` only ever skips used tokens, so it is
+    shared across calls.
     """
-    walks = [list(w) for w in state.walks]
-    members = [set(w) for w in walks]
-    covered = set(state.covered)
-    for v, w in attachment_order(inst.graph, covered):
-        i = next(idx for idx in range(len(walks)) if w in members[idx])
-        at = walks[i].index(w)
-        walks[i][at + 1 : at + 1] = [v, w]
-        members[i].add(v)
-        covered.add(v)
-    return SamplerState(state.chosen, walks, covered, set())
+    stack = [start]
+    circuit: list[int] = []
+    while stack:
+        v = stack[-1]
+        while ptr[v] < len(incident[v]) and incident[v][ptr[v]][1] in used:
+            ptr[v] += 1
+        if ptr[v] == len(incident[v]):
+            circuit.append(stack.pop())
+        else:
+            w, tok = incident[v][ptr[v]]
+            used.add(tok)
+            stack.append(w)
+    circuit.reverse()
+    return circuit
+
+
+def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
+    """Splice an edge multiset with even degree at every vertex into the
+    walks as closed excursions, one per connected component of `extra`.
+
+    Each component is traversed as an Eulerian circuit (lowest neighbor
+    first) anchored at its lowest vertex that lies on a walk, and inserted
+    at the first occurrence of that vertex in the lowest-indexed walk
+    containing it. Walk endpoints do not move, and the result uses every
+    walk edge and every extra edge exactly once.
+    """
+    if any(d % 2 for d in extra.degrees()):
+        raise InternalError("parity violation: extra edges must have even degree everywhere")
+
+    # one token per edge copy, listed at both ends as (neighbor, token)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    tok = 0
+    for e, count in extra.items():
+        u, v = g.edges[e]
+        for _ in range(count):
+            incident[u].append((v, tok))
+            incident[v].append((u, tok))
+            tok += 1
+    for lst in incident:
+        lst.sort()
+
+    walks = [list(w) for w in walks]
+    first: dict[int, tuple[int, int]] = {}
+    for i, walk in enumerate(walks):
+        for pos, v in enumerate(walk):
+            first.setdefault(v, (i, pos))
+    # Every degree is even, so a circuit uses up its whole component and the
+    # ascending scan reaches each component first at its lowest on-walk vertex.
+    used: set[int] = set()
+    ptr = [0] * g.n
+    excursions: dict[tuple[int, int], list[int]] = {}
+    for v in sorted(first):
+        circuit = _euler_circuit(incident, used, ptr, v)
+        if len(circuit) > 1:
+            excursions[first[v]] = circuit
+    if len(used) != tok:
+        raise InternalError("disconnected union: extra edges share no vertex with any walk")
+    # splice from the back so the recorded positions stay valid
+    for i, pos in sorted(excursions, reverse=True):
+        walks[i][pos + 1:pos + 1] = excursions[i, pos][1:]
+    return Solution(tuple(tuple(w) for w in walks), sum(len(w) - 1 for w in walks))
+
+
+def reconnect(inst: AnyInstance, state: SamplerState) -> Solution:
+    """Attach every uncovered vertex by a doubled edge (cost two each), in
+    `attachment_order`, and splice the doubled edges into the walks."""
+    extra = EdgeMultiset(inst.graph)
+    for v, w in attachment_order(inst.graph, state.covered):
+        extra.add(v, w, 2)
+    return splice_excursions(inst.graph, state.walks, extra)
 
 
 def _finish(plan: SolverPlan, state: SamplerState) -> tuple[Solution, CostReport]:
     inst = plan.instance
     sampling = sum(len(w) - 1 for w in state.walks)
-    done = reconnect(inst, state)
-    reconnection = 2 * len(state.pending)
-    sol = Solution(tuple(tuple(w) for w in done.walks), sampling + reconnection)
+    reconnection = 2 * (inst.graph.n - len(state.covered))
+    sol = reconnect(inst, state)
+    if sol.cost != sampling + reconnection:
+        raise InternalError(f"the splice changed the edge count: {sol.cost} != {sampling + reconnection}")
     ok, why = validate_solution(inst, sol)
     if not ok:
         raise InternalError(f"solver produced an invalid solution: {why}")

@@ -1,11 +1,12 @@
 """Multi-depot coverage baseline and the best-of-two combining solver.
 
-The baseline doubles a depot-rooted spanning forest: every non-depot vertex
-joins its nearest depot's tree (ties to the lowest depot index), each tree is
-walked depth-first with every edge traversed twice, so the cost is exactly
-2*(n - k). The combiner runs the derandomized path solver and the depot
-baseline on the associated all-depot instance (sinks replaced by sources,
-shortest source-sink paths appended afterwards) and keeps the cheaper.
+The baseline doubles a depot-rooted spanning forest: a multi-source BFS puts
+every non-depot vertex in its nearest depot's tree (ties to the lowest depot
+index), and `multipath.splice_excursions` splices each doubled tree into its
+depot's walk, so the cost is exactly 2*(n - k). The combiner runs the
+derandomized path solver and the depot baseline on the associated all-depot
+instance (sinks replaced by sources, shortest source-sink paths appended
+afterwards) and keeps the cheaper.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 from .errors import InstanceError, InternalError
 from .graphs import shortest_path
 from .instances import Instance, Solution, validate_solution
-from .multipath import SolverPlan, prepare, run_derandomized
+from .multipath import SolverPlan, prepare, run_derandomized, splice_excursions
+from .parity import EdgeMultiset
 
 
 @dataclass(frozen=True)
@@ -38,44 +40,19 @@ def solve_vrp_forest(inst: Instance) -> Solution:
             raise InstanceError("not-vrp", f"commodity ({s},{t}) has distinct endpoints")
     depots = [s for s, _ in inst.commodities]
     g = inst.graph
-    owner = [-1] * g.n
-    parent = [-1] * g.n
-    queue = deque()
-    for idx, d in enumerate(depots):
-        owner[d] = idx
-        queue.append(d)
+    seen = [False] * g.n
+    for d in depots:
+        seen[d] = True
+    extra = EdgeMultiset(g)
+    queue = deque(depots)
     while queue:
         u = queue.popleft()
         for w in g.adj[u]:
-            if owner[w] == -1:
-                owner[w] = owner[u]
-                parent[w] = u
+            if not seen[w]:
+                seen[w] = True
+                extra.add(u, w, 2)
                 queue.append(w)
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        if parent[v] != -1:
-            children[parent[v]].append(v)
-    for lst in children:
-        lst.sort()
-
-    walks: list[tuple[int, ...]] = []
-    cost = 0
-    for d in depots:
-        walk = [d]
-        stack = [(d, iter(children[d]))]
-        while stack:
-            v, it = stack[-1]
-            c = next(it, None)
-            if c is None:
-                stack.pop()
-                if stack:
-                    walk.append(stack[-1][0])
-            else:
-                walk.append(c)
-                stack.append((c, iter(children[c])))
-        walks.append(tuple(walk))
-        cost += len(walk) - 1
-    sol = Solution(tuple(walks), cost)
+    sol = splice_excursions(g, [[d] for d in depots], extra)
     ok, why = validate_solution(inst, sol)
     if not ok:
         raise InternalError(f"forest baseline produced an invalid solution: {why}")

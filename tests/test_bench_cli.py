@@ -194,6 +194,7 @@ class TestCli:
             dump = tmp_path / f"{name}.lp"
             assert main(["lp", "--input", str(path), "--dump-lp", str(dump)]) == 0
             assert main(["decompose", "--input", str(path)]) == 0
+            assert main(["exact", "--input", str(path)]) == 0
             printed[name] = (capsys.readouterr().out, dump.read_text())
         assert printed["ordered"] == printed["pairs"]
 

@@ -145,7 +145,7 @@ class TestOracleSoundness:
         with pytest.raises(OracleLimitError, match="instance too large"):
             exact_opt(inst)
         # raising the knob admits it
-        assert exact_opt(inst, limit_free=11, limit_dp=11).cost == 12
+        assert exact_opt(inst, limit_free=11).cost == 12
 
 
 def free_count(inst: Instance) -> int:

@@ -3,7 +3,7 @@ import pytest
 
 from multipath_tsp.decomposition import decompose, path_mass
 from multipath_tsp.graphs import BidirectedGraph, Graph
-from multipath_tsp.instances import Instance, validate_solution
+from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import FractionalSolution
 from multipath_tsp.multipath import (
     SamplerState,
@@ -41,7 +41,9 @@ class TestSampling:
             state = sample_paths(plan.decomposition, seed)
             assert state.chosen == (0,)
             assert state.walks == [[0, 1, 2]]
-            assert state.pending == set()
+            # the sampled path alone covers every vertex
+            ok, why = validate_solution(path3, Solution((tuple(state.walks[0]),), 2))
+            assert ok, why
 
     def test_half_half_frequency(self, diamond_plan):
         _, dec = diamond_plan
@@ -72,21 +74,22 @@ class TestSampling:
 
 class TestReconnect:
     def test_nothing_pending_is_noop(self, path3):
-        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2}, set())
+        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2})
         done = reconnect(path3, state)
-        assert done.walks == [[0, 1, 2]]
-        assert done.pending == set()
+        assert done == Solution(((0, 1, 2),), 2)
+        ok, why = validate_solution(path3, done)
+        assert ok, why
 
     def test_fig1_two_uncovered_inner_vertices(self, fig1):
         # one concrete sampling outcome: these walks leave vertices 5 and 8 uncovered
         walks = [[0, 4, 6, 2], [1, 9, 7, 4, 3]]
         covered = {v for w in walks for v in w}
-        state = SamplerState((0, 1), [list(w) for w in walks], covered, {5, 8})
+        state = SamplerState((0, 1), [list(w) for w in walks], covered)
         done = reconnect(fig1, state)
-        assert done.pending == set()
-        total = sum(len(w) - 1 for w in done.walks)
+        ok, why = validate_solution(fig1, done)
+        assert ok, why
         base = sum(len(w) - 1 for w in walks)
-        assert total - base == 4  # two vertices at cost two each
+        assert done.cost - base == 4  # two vertices at cost two each
         for i, w in enumerate(done.walks):
             assert w[0] == walks[i][0] and w[-1] == walks[i][-1]
             for u, v in zip(w, w[1:]):
@@ -96,18 +99,30 @@ class TestReconnect:
         # center 0, commodity between two leaves: every other leaf costs two
         n = 6
         inst = Instance(Graph(n, [[0, i] for i in range(1, n)]), ((1, 2),))
-        state = SamplerState((0,), [[1, 0, 2]], {0, 1, 2}, {3, 4, 5})
+        state = SamplerState((0,), [[1, 0, 2]], {0, 1, 2})
         done = reconnect(inst, state)
-        assert sum(len(w) - 1 for w in done.walks) == 2 + 2 * (n - 3)
-        # detours spliced at the first occurrence of the center
-        assert done.walks[0][:2] == [1, 0]
+        assert done.cost == 2 + 2 * (n - 3)
+        # one excursion from the center, lowest leaf first, at its first occurrence
+        assert done.walks == ((1, 0, 3, 0, 4, 0, 5, 0, 2),)
+        ok, why = validate_solution(inst, done)
+        assert ok, why
 
     def test_splice_at_first_occurrence(self):
         g = Graph(4, [[0, 1], [1, 2], [1, 3]])
         inst = Instance(g, ((0, 2),))
-        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2}, {3})
+        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2})
         done = reconnect(inst, state)
-        assert done.walks[0] == [0, 1, 3, 1, 2]
+        assert done.walks == ((0, 1, 3, 1, 2),)
+
+    def test_nested_attachment(self):
+        # 3 attaches to the walk at 1, then 4 attaches to 3: one excursion 1-3-4-3-1
+        g = Graph(5, [[0, 1], [1, 2], [1, 3], [3, 4]])
+        inst = Instance(g, ((0, 2),))
+        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2})
+        done = reconnect(inst, state)
+        assert done == Solution(((0, 1, 3, 4, 3, 1, 2),), 6)
+        ok, why = validate_solution(inst, done)
+        assert ok, why
 
 
 class TestRandomizedSolver:

@@ -4,7 +4,7 @@ import pytest
 from multipath_tsp.errors import InternalError
 from multipath_tsp.graphs import Graph
 from multipath_tsp.instances import Instance, OrderedInstance, Solution, validate_solution
-from multipath_tsp.multipath import prepare
+from multipath_tsp.multipath import prepare, splice_excursions
 from multipath_tsp.ordered import (
     extract_ordered_walks,
     prepare_ordered,
@@ -84,7 +84,8 @@ class TestSolveOrdered:
 class TestExtraction:
     def test_no_extras_returns_paths(self, triangle):
         extra = EdgeMultiset(triangle.graph)
-        sol = extract_ordered_walks(triangle, [(0, 1), (1, 2), (2, 0)], extra)
+        assert extract_ordered_walks is splice_excursions
+        sol = splice_excursions(triangle.graph, [(0, 1), (1, 2), (2, 0)], extra)
         assert sol.walks == ((0, 1), (1, 2), (2, 0))
         assert sol.cost == 3
 
@@ -92,10 +93,9 @@ class TestExtraction:
         # triangle plus a pendant vertex: reconnection edge and its join twin
         # splice as an out-and-back excursion at the first shared vertex
         g = Graph(4, [[0, 1], [1, 2], [0, 2], [0, 3]])
-        inst = OrderedInstance(g, (0, 1, 2))
         extra = EdgeMultiset(g)
         extra.add(3, 0, times=2)
-        sol = extract_ordered_walks(inst, [(0, 1), (1, 2), (2, 0)], extra)
+        sol = splice_excursions(g, [(0, 1), (1, 2), (2, 0)], extra)
         assert sol.walks == ((0, 3, 0, 1), (1, 2), (2, 0))
         assert sol.cost == 5
 
@@ -103,13 +103,12 @@ class TestExtraction:
         # walks 0-1-4 | 4-8-5-7-6 | 6-9-0; vertices 2 and 3 lie on no walk
         g = Graph(10, [[0, 1], [1, 4], [4, 8], [5, 8], [5, 7], [6, 7], [6, 9], [0, 9],
                        [2, 3], [3, 8], [2, 8], [7, 9]])
-        inst = OrderedInstance(g, (0, 4, 6))
         extra = EdgeMultiset(g)
         for u, v in [(2, 3), (3, 8), (2, 8)]:  # lowest vertex 2 is off every walk
             extra.add(u, v)
         for u, v in [(6, 7), (7, 9), (6, 9)]:  # on-walk 7 comes first, but 6 is lower
             extra.add(u, v)
-        sol = extract_ordered_walks(inst, [(0, 1, 4), (4, 8, 5, 7, 6), (6, 9, 0)], extra)
+        sol = splice_excursions(g, [(0, 1, 4), (4, 8, 5, 7, 6), (6, 9, 0)], extra)
         # component {2, 3, 8} anchors at 8 (walk 1, position 1): 8-2-3-8, lowest neighbor first;
         # component {6, 7, 9} anchors at 6, whose first walk is 1 (position 4): 6-7-9-6
         assert sol.walks == ((0, 1, 4), (4, 8, 2, 3, 8, 5, 7, 6, 7, 9, 6), (6, 9, 0))
@@ -142,7 +141,7 @@ class TestExtraction:
             join = min_tjoin(g, odd_vertices(union), plan.dists)
             for e in join.edges:
                 extra.add_edge(e)
-            sol = extract_ordered_walks(inst, [tuple(w) for w in state.walks], extra)
+            sol = splice_excursions(g, [tuple(w) for w in state.walks], extra)
             produced = Counter()
             for walk in sol.walks:
                 for u, v in zip(walk, walk[1:]):
@@ -157,15 +156,14 @@ class TestExtraction:
         extra = EdgeMultiset(triangle.graph)
         extra.add(0, 1)  # odd degree at 0 and 1
         with pytest.raises(InternalError, match="parity"):
-            extract_ordered_walks(triangle, [(0, 1), (1, 2), (2, 0)], extra)
+            splice_excursions(triangle.graph, [(0, 1), (1, 2), (2, 0)], extra)
 
     def test_disconnected_union_detected(self):
         g = Graph(5, [[0, 1], [1, 2], [0, 2], [3, 4], [2, 3]])
-        inst = OrderedInstance(g, (0, 1, 2))
         extra = EdgeMultiset(g)
         extra.add(3, 4, times=2)  # touches no sampled walk
         with pytest.raises(InternalError, match="disconnected"):
-            extract_ordered_walks(inst, [(0, 1), (1, 2), (2, 0)], extra)
+            splice_excursions(g, [(0, 1), (1, 2), (2, 0)], extra)
 
 
 class TestValidateOrdered:

@@ -53,6 +53,12 @@ class TestForestBaseline:
                 for v in sol.walks[i]:
                     assert dists[d][v] == min(dd[v] for dd in dists.values())
 
+    def test_branching_tree_depth_first(self):
+        # depot 0 with children 1 and 2, and 3 below 1: lowest child first
+        sol = solve_vrp_forest(_depots(Graph(4, [[0, 1], [0, 2], [1, 3]]), (0,)))
+        assert sol.walks == ((0, 1, 3, 1, 0, 2, 0),)
+        assert sol.cost == 6
+
     def test_tie_goes_to_lowest_depot_index(self):
         sol = solve_vrp_forest(_depots(Graph(3, [[0, 1], [1, 2]]), (0, 2)))
         assert sol.walks[0] == (0, 1, 0)
