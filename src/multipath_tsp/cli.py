@@ -120,8 +120,7 @@ def _cmd_lp(args) -> None:
     sol = solve_lp(inst)
     if args.dump_lp:
         model = LpModel(inst)
-        for cut in sol.cuts:
-            model.add_cut(cut)
+        model.add_cuts(sol.cuts)
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(model.dump_text())
     _emit(json.dumps({"objective": sol.objective, "cuts": len(sol.cuts)}, sort_keys=True) + "\n", args.output)

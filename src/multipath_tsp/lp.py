@@ -5,7 +5,12 @@ every vertex outside the sink set. Static rows enforce flow conservation,
 unit source/sink balance for split commodities, z[i,v] <= outflow_i(v), and
 sum_i z[i,v] >= 1. Cut rows x_i(arcs leaving U) >= z[i,v] for v in U are
 generated on demand from min-cut separation, so coverage only counts flow
-that actually escapes toward the commodity's sink.
+that actually escapes toward the commodity's sink. Each separated cut
+(i, v, U) is lifted to every other commodity j whose sink lies outside U:
+v is a non-sink in U and t_j is not, so every walk solution satisfies the
+row (j, v, U) too, and adding it ahead of time spares the rounds that would
+find the same (v, U) once per commodity. A round's rows go to HiGHS in one
+call.
 
 Note the coverage amounts are explicit capped variables rather than being
 identified with the outflow: identifying them makes the system infeasible
@@ -17,7 +22,7 @@ leaves all guarantees driven by the derived outflow quantities intact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kHighsInf
@@ -46,8 +51,12 @@ Row = tuple[list[int], list[float], float, float]  # (columns, coefficients, low
 
 
 def _leaving_arcs(dig: BidirectedGraph, members: frozenset[int]) -> list[int]:
-    """Arcs (u, w) with u in members and w outside, in arc order."""
-    return [a for a, (u, w) in enumerate(dig.arcs) if u in members and w not in members]
+    """Arcs (u, w) with u in members and w outside, in arc order.
+
+    Scans only the members' out-arcs, so a small U costs O(its degree sum).
+    """
+    arcs = dig.arcs
+    return sorted(a for u in members for a in dig.out_arcs[u] if arcs[a][1] not in members)
 
 
 class LpModel:
@@ -58,8 +67,9 @@ class LpModel:
     Rows keep a fixed order, which the dual simplex follows (another order
     can land on another optimal vertex): the static rows, then the cuts in
     the order they were added.
-    Each cut row is appended to the same HiGHS handle, so every round's dual
-    simplex warm-starts from the previous round's basis.
+    `add_cuts` appends a round's new cut rows to the same HiGHS handle in
+    one CSR call, so every round's dual simplex warm-starts from the
+    previous round's basis.
     The dual simplex prices with Devex (`DUAL_EDGE_WEIGHTS`). HiGHS's default
     dual steepest edge first recomputes its exact edge weights on every
     re-solve after added rows, which costs more than the one or two pivots
@@ -147,15 +157,20 @@ class LpModel:
             rows.append((self._cover_columns[:, v].tolist(), [1.0] * inst.k, 1.0, kHighsInf))
         return rows
 
-    def add_cut(self, cut: CutConstraint) -> bool:
-        """Append one cut row; returns False if it is already present."""
-        if cut in self._cut_set:
-            return False
-        arcs = _leaving_arcs(self.digraph, cut.members)
-        self._add_rows([self._cover_row(cut.commodity, cut.vertex, arcs)])
-        self._cut_set.add(cut)
-        self.cuts.append(cut)
-        return True
+    def add_cuts(self, cuts: Iterable[CutConstraint]) -> int:
+        """Append the cuts not yet present, in the given order, as one CSR
+        `addRows` call; returns how many rows were added."""
+        rows: list[Row] = []
+        for cut in cuts:
+            if cut in self._cut_set:
+                continue
+            self._cut_set.add(cut)
+            self.cuts.append(cut)
+            arcs = _leaving_arcs(self.digraph, cut.members)
+            rows.append(self._cover_row(cut.commodity, cut.vertex, arcs))
+        if rows:
+            self._add_rows(rows)
+        return len(rows)
 
     def rows(self) -> list[tuple[dict[int, float], float, float]]:
         """Every row as HiGHS holds it: ({column: coefficient}, lower, upper)."""
@@ -252,8 +267,17 @@ def solve_lp(
 ) -> FractionalSolution:
     """Cutting-plane loop: solve, separate, add cuts, repeat until clean.
 
-    `on_round` (if given) observes every iterate and the cuts it produced,
-    which is how the audit tests replay separation soundness.
+    Each round checks that every separated cut is violated, then appends
+    the separated cuts in separation order followed by their lifts in
+    (cut, commodity) order: (j, v, U) for every other commodity j whose
+    sink lies outside U. The loop still ends only when `separate` finds
+    nothing, so lifting never changes the LP value, only which optimal
+    vertex the solve lands on. The returned `cuts` hold every row added,
+    lifts included.
+
+    `on_round` (if given) observes every iterate and the cuts separation
+    produced from it (never the lifts), which is how the audit tests
+    replay separation soundness.
     """
     model = LpModel(inst)
     prev_obj = -np.inf
@@ -268,13 +292,16 @@ def solve_lp(
             on_round(sol, found)
         if not found:
             return sol
-        added = 0
         for cut in found:
             crossing = _flow_across(sol, cut.commodity, cut.members)
             if crossing >= sol.cover[cut.commodity, cut.vertex] - EPS_SEP:
                 raise InternalError(f"separation emitted a non-violated cut: {cut}")
-            if model.add_cut(cut):
-                added += 1
-        if added == 0:
+        lifts = [
+            CutConstraint(j, cut.vertex, cut.members)
+            for cut in found
+            for j, (_, t) in enumerate(inst.commodities)
+            if j != cut.commodity and t not in cut.members
+        ]
+        if model.add_cuts(found + lifts) == 0:
             raise LpError("separation found violations but no new cut rows; tolerance mismatch")
     raise LpError(f"iteration limit exceeded ({MAX_CUT_ROUNDS} cut rounds)")

@@ -17,6 +17,7 @@ from multipath_tsp.lp import (
     CutConstraint,
     FractionalSolution,
     LpModel,
+    _leaving_arcs,
     separate,
     solve_lp,
 )
@@ -30,6 +31,17 @@ def crossing_flow(sol, i, members):
         for a, (u, w) in enumerate(sol.digraph.arcs)
         if u in members and w not in members
     )
+
+
+def with_lifts(inst, found):
+    """Every cut (i, v, U) found, then (j, v, U) for each other commodity j
+    whose sink lies outside U, in (cut, commodity) order."""
+    return list(found) + [
+        CutConstraint(j, cut.vertex, cut.members)
+        for cut in found
+        for j, (_, t) in enumerate(inst.commodities)
+        if j != cut.commodity and t not in cut.members
+    ]
 
 
 def cover_vertices(inst):
@@ -266,11 +278,11 @@ class TestCuttingPlaneLoop:
                 found = separate(inst, sol)
                 if not found:
                     break
-                assert all([model.add_cut(cut) for cut in found])
+                assert model.add_cuts(found) == len(found)
             else:
                 pytest.fail("cut loop did not settle within 50 rounds")
             if model.cuts:
-                assert model.add_cut(model.cuts[-1]) is False
+                assert model.add_cuts([model.cuts[-1]]) == 0
                 assert model.rows() == expected_rows(inst, model.cuts)
                 assert model.solve()[2] == pytest.approx(obj, abs=EPS_LP)
 
@@ -309,3 +321,65 @@ class TestCuttingPlaneLoop:
         for inst in random_instances("multipath", 25, seed=47, n_max=6, k_max=2):
             lazy = solve_lp(inst).objective
             assert lazy == pytest.approx(full_value(inst), abs=1e-6)
+
+
+class TestLiftedCuts:
+    def test_every_row_is_in_the_cut_family(self):
+        """Every recorded row (i, v, U) is satisfied by every walk solution:
+        v is a non-sink inside U and commodity i's sink lies outside U."""
+        for mode in ("multipath", "vrp", "ordered"):
+            for inst in random_instances(mode, 15, seed=31, n_max=9):
+                sol = solve_lp(inst)
+                for cut in sol.cuts:
+                    sink = inst.commodities[cut.commodity][1]
+                    assert cut.vertex in cut.members, (mode, cut)
+                    assert sink not in cut.members, (mode, cut)
+                    assert cut.vertex not in inst.sinks, (mode, cut)
+
+    def test_rows_are_each_round_separated_cuts_then_lifts(self):
+        """The recorded rows are, round by round, the separated cuts in
+        separation order and then their lifts, each row once; `on_round`
+        still sees only the separated cuts."""
+        for mode in ("multipath", "vrp", "ordered"):
+            for inst in random_instances(mode, 10, seed=37, n_max=9):
+                expected = []
+
+                def observe(sol, found):
+                    assert list(sol.cuts) == expected
+                    assert found == separate(inst, sol)
+                    expected.extend([c for c in dict.fromkeys(with_lifts(inst, found)) if c not in expected])
+
+                sol = solve_lp(inst, on_round=observe)
+                assert list(sol.cuts) == expected
+
+    def test_add_cuts_appends_each_round_in_order(self, fig1):
+        """Drive the model by hand: each round appends the separated cuts and
+        then their lifts, skipping rows already present (also within the
+        same call), and the rows read back equal the LP written out from its
+        definition."""
+        for inst in [fig1] + random_instances("multipath", 10, seed=41, n_max=9, k_min=2, k_max=4):
+            model = LpModel(inst)
+            cuts = []
+            for _ in range(4):
+                flows, cover, obj = model.solve()
+                sol = FractionalSolution(inst, model.digraph, flows, cover, obj, tuple(model.cuts))
+                found = separate(inst, sol)
+                if not found:
+                    break
+                batch = with_lifts(inst, found) + found[:1]
+                new = [c for c in dict.fromkeys(batch) if c not in cuts]
+                assert model.add_cuts(batch) == len(new)
+                cuts += new
+                assert model.cuts == cuts
+                assert model.rows() == expected_rows(inst, cuts)
+            assert model.add_cuts(cuts) == 0
+            assert model.rows() == expected_rows(inst, cuts)
+
+    def test_leaving_arcs_match_the_all_arc_scan(self):
+        rng = np.random.default_rng(43)
+        for inst in random_instances("multipath", 20, seed=43, n_max=12):
+            dig = BidirectedGraph(inst.graph)
+            for _ in range(10):
+                members = frozenset(np.flatnonzero(rng.random(inst.graph.n) < 0.4).tolist())
+                scan = [a for a, (u, w) in enumerate(dig.arcs) if u in members and w not in members]
+                assert _leaving_arcs(dig, members) == scan
