@@ -8,6 +8,15 @@ walks over a fixed set are Hamiltonian-path dynamic programs over subsets
 partition dynamic program over submasks. In a metric a walk covering a
 superset never costs less, so some optimal solution induces such an
 assignment; the relaxed-oracle test in the suite spot-checks this reasoning.
+
+The partition DP keeps only minima: prefix[i][mask] is the cheapest cover of
+mask by the first i+1 commodities, one min-plus step per commodity over
+cached popcount blocks (row r of block p holds the 2^p submasks of the r-th
+mask of popcount p as uint16, 3^f pairs over all blocks). The last commodity
+needs no step. The way back scans the submasks of one mask per commodity,
+from the full mask and the last commodity down, and takes the largest
+submask that reaches the minimum. So among tied optima the assignment is the
+largest in free-vertex bitmasks, compared from the last commodity first.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .instances import AnyInstance, Solution
 from .lp import EPS_LP, FractionalSolution
 
 INF = float("inf")
-PAIR_CHUNK = 1 << 15  # (mask, submask) pairs per min-plus step; bounds the float temporaries
+PAIR_CHUNK = 1 << 15  # (mask, submask) pairs per chunk of a min-plus step; bounds the temporaries
 LIMIT_DP = 14  # most free vertices the partition DP takes, whatever limit_free is
 
 
@@ -44,25 +53,35 @@ def _popcount_layers(f: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _submask_pairs(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (mask, submask) pair over f bits, 3^f of them, as two uint16 arrays.
+def _submask_blocks(f: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every (mask, submask) pair over f bits, 3^f of them, one block per popcount.
 
-    Each bit is a ternary digit: outside the mask, in the mask only, or in
-    both. Filled in place, with no temporaries, and read-only once built,
-    since the arrays are shared by every call.
+    Block p is (masks, subs): the masks of popcount p in increasing order,
+    and a (len(masks), 2^p) uint16 array whose row r holds the submasks of
+    masks[r] in increasing order (sub j puts bit q of j on the q-th set bit
+    of the mask). Read-only once built, since the blocks are shared by every
+    call.
     """
-    mask = np.zeros(3 ** f, dtype=np.uint16)
-    sub = np.zeros(3 ** f, dtype=np.uint16)
-    size = 1
-    for b in range(f):
-        bit = np.uint16(1 << b)
-        np.bitwise_or(mask[:size], bit, out=mask[size:2 * size])
-        np.bitwise_or(mask[:size], bit, out=mask[2 * size:3 * size])
-        sub[size:2 * size] = sub[:size]
-        np.bitwise_or(sub[:size], bit, out=sub[2 * size:3 * size])
-        size *= 3
-    mask.flags.writeable = sub.flags.writeable = False
-    return mask, sub
+    blocks = []
+    for p, masks in enumerate(_popcount_layers(f)):
+        bits = masks[:, None] >> np.arange(f) & 1
+        pos = np.nonzero(bits)[1].reshape(len(masks), p)   # set bits, lowest first
+        subs = np.zeros((len(masks), 1 << p), dtype=np.uint16)
+        for q in range(p):
+            bit = (1 << pos[:, q:q + 1]).astype(np.uint16)
+            np.bitwise_or(subs[:, :1 << q], bit, out=subs[:, 1 << q:2 << q])
+        masks = masks.astype(np.uint16)
+        masks.flags.writeable = subs.flags.writeable = False
+        blocks.append((masks, subs))
+    return tuple(blocks)
+
+
+def _row_chunks(f: int):
+    """The rows of every block, in slices of at most PAIR_CHUNK pairs (one row at least)."""
+    for masks, subs in _submask_blocks(f):
+        rows = max(1, PAIR_CHUNK // subs.shape[1])
+        for lo in range(0, len(masks), rows):
+            yield masks[lo:lo + rows], subs[lo:lo + rows]
 
 
 def _walk_tables(dist: np.ndarray, s: int, t: int, free: list[int], layers: list[np.ndarray]):
@@ -111,24 +130,24 @@ def _walk_tables(dist: np.ndarray, s: int, t: int, free: list[int], layers: list
     return cost, order
 
 
-def _cover_step(prev: np.ndarray, cost_i: np.ndarray, f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Min-plus step: cur[mask] = min over sub of prev[mask ^ sub] + cost_i[sub].
+def _cover_step(prev: np.ndarray, cost_i: np.ndarray, f: int) -> np.ndarray:
+    """Min-plus step: cur[mask] = min over sub of prev[mask ^ sub] + cost_i[sub]."""
+    cur = np.empty(1 << f)
+    for masks, subs in _row_chunks(f):
+        cand = prev[masks[:, None] ^ subs]
+        cand += cost_i[subs]
+        cur[masks] = cand.min(axis=1)
+    return cur
 
-    pick[mask] is the largest minimizing sub, or 0 when every candidate is INF.
-    """
-    pair_mask, pair_sub = _submask_pairs(f)
-    chunks = [slice(lo, lo + PAIR_CHUNK) for lo in range(0, len(pair_mask), PAIR_CHUNK)]
-    cur = np.full(1 << f, INF)
-    for c in chunks:
-        mask, sub = pair_mask[c], pair_sub[c]
-        np.minimum.at(cur, mask, prev[mask ^ sub] + cost_i[sub])
-    pick = np.zeros(1 << f, dtype=np.uint16)
-    for c in chunks:
-        mask, sub = pair_mask[c], pair_sub[c]
-        cand = prev[mask ^ sub] + cost_i[sub]
-        hit = (cand == cur[mask]) & (cand < INF)
-        np.maximum.at(pick, mask[hit], sub[hit])
-    return cur, pick
+
+def _best_split(prev: np.ndarray, cost_i: np.ndarray, mask: int, f: int) -> int:
+    """The largest sub minimizing prev[mask ^ sub] + cost_i[sub], or 0 when
+    every candidate is INF."""
+    masks, subs = _submask_blocks(f)[mask.bit_count()]
+    subs = subs[np.searchsorted(masks, mask)]
+    cand = prev[mask ^ subs] + cost_i[subs]
+    best = cand.min()
+    return 0 if best == INF else int(subs[np.flatnonzero(cand == best)[-1]])
 
 
 def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
@@ -146,20 +165,19 @@ def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
     layers = _popcount_layers(f)
     tables = [_walk_tables(dist, s, t, free, layers) for s, t in inst.commodities]
 
-    # partition DP: cheapest way for the first i+1 commodities to cover mask
-    prev = tables[0][0]
-    choice = [None]
-    for cost_i, _ in tables[1:]:
-        prev, pick = _cover_step(prev, cost_i, f)
-        choice.append(pick)
+    # partition DP: prefix[i][mask] is the cheapest way for the first i+1
+    # commodities to cover mask; the last commodity needs only the full mask
+    prefix = [tables[0][0]]
+    for cost_i, _ in tables[1:-1]:
+        prefix.append(_cover_step(prefix[-1], cost_i, f))
 
     mask = (1 << f) - 1
-    total = prev[mask]
     masks = [0] * k
     for i in range(k - 1, 0, -1):
-        masks[i] = int(choice[i][mask])
+        masks[i] = _best_split(prefix[i - 1], tables[i][0], mask, f)
         mask ^= masks[i]
     masks[0] = mask
+    total = sum(tables[i][0][masks[i]] for i in range(k))   # whole numbers, so the sum is exact
 
     assignment = tuple(frozenset(free[j] for j in range(f) if masks[i] >> j & 1) for i in range(k))
     orders = tuple(tables[i][1](masks[i]) for i in range(k))

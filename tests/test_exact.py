@@ -1,9 +1,13 @@
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from multipath_tsp import exact
 from multipath_tsp.errors import OracleLimitError
-from multipath_tsp.exact import ExactResult, brute_force_cut_check, exact_opt, reconstruct_walks
+from multipath_tsp.exact import INF, LIMIT_DP, ExactResult, brute_force_cut_check, exact_opt, reconstruct_walks
 from multipath_tsp.graphs import Graph, all_pairs_distances
 from multipath_tsp.instances import Instance, validate_solution
 from multipath_tsp.lp import solve_lp
@@ -211,12 +215,142 @@ class TestTables:
         assert exact_by_permutations(inst) == 7
 
 
+def optimal_assignments(inst: Instance) -> tuple[int, list[tuple[int, ...]]]:
+    """Brute force: the optimum and every optimal assignment, each as one
+    bitmask over the sorted free vertices per commodity."""
+    dist = all_pairs_distances(inst.graph)
+    free = sorted(set(range(inst.graph.n)) - inst.terminals)
+    f, k = len(free), inst.k
+    walk = {}
+    for i, (s, t) in enumerate(inst.commodities):
+        for bits in range(1 << f):
+            assigned = [free[j] for j in range(f) if bits >> j & 1]
+            walk[i, bits] = min(
+                sum(dist[a][b] for a, b in zip((s, *perm), (*perm, t)))
+                for perm in itertools.permutations(assigned)
+            )
+    best, found = float("inf"), []
+    for labels in itertools.product(range(k), repeat=f):
+        masks = tuple(sum(1 << j for j in range(f) if labels[j] == i) for i in range(k))
+        total = sum(walk[i, masks[i]] for i in range(k))
+        if total < best:
+            best, found = total, []
+        if total == best:
+            found.append(masks)
+    return best, found
+
+
+class TestTieRule:
+    """Among tied optima the oracle returns the largest assignment, compared
+    as free-vertex bitmasks from the last commodity to the first."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_lexicographic_maximum_of_tied_optima(self, k):
+        checked = 0
+        for inst in random_instances("multipath", 80, seed=101 + k, n_min=k + 3, n_max=9, k_min=k, k_max=k):
+            if inst.k != k or not 2 <= free_count(inst) <= 5:
+                continue
+            best, found = optimal_assignments(inst)
+            if len(found) < 2:
+                continue
+            free = sorted(set(range(inst.graph.n)) - inst.terminals)
+            want = max(found, key=lambda masks: masks[::-1])
+            result = exact_opt(inst)
+            assert result.cost == best
+            assert result.assignment == tuple(
+                frozenset(free[j] for j in range(len(free)) if m >> j & 1) for m in want
+            )
+            dist = all_pairs_distances(inst.graph)
+            total = 0
+            for (s, t), assigned, order in zip(inst.commodities, result.assignment, result.orders):
+                assert (order[0], order[-1]) == (s, t)
+                assert sorted(order[1:-1]) == sorted(assigned)
+                total += sum(dist[a][b] for a, b in zip(order, order[1:]))
+            assert total == result.cost
+            checked += 1
+        assert checked >= 10
+
+
+def cover_step_by_loops(prev: list[float], cost: list[float], f: int) -> list[float]:
+    """cur[mask] = min over sub of prev[mask ^ sub] + cost[sub], one pair at a time."""
+    cur = []
+    for mask in range(1 << f):
+        best, sub = INF, mask
+        while True:
+            best = min(best, prev[mask ^ sub] + cost[sub])
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        cur.append(best)
+    return cur
+
+
+def submasks(mask: int) -> list[int]:
+    return [sub for sub in range(mask + 1) if sub & mask == sub]
+
+
+class TestMinPlusStep:
+    """The popcount blocks and the chunked min-plus step over them."""
+
+    @pytest.mark.parametrize("chunk", [exact.PAIR_CHUNK, 16])
+    def test_step_matches_double_loop(self, chunk, monkeypatch):
+        monkeypatch.setattr(exact, "PAIR_CHUNK", chunk)
+        rng = random.Random(113)
+        for f in range(11):
+            prev = [INF if rng.random() < 0.2 else float(rng.randrange(30)) for _ in range(1 << f)]
+            cost = [INF if rng.random() < 0.2 else float(rng.randrange(30)) for _ in range(1 << f)]
+            got = exact._cover_step(np.array(prev), np.array(cost), f)
+            assert got.tolist() == cover_step_by_loops(prev, cost, f)
+        # at f = 10 the 3^10 pairs span several chunks; a chunk holds at most
+        # `chunk` pairs unless it is one row wider than that
+        chunks = list(exact._row_chunks(10))
+        assert len(chunks) > 1
+        assert all(subs.size <= chunk or len(subs) == 1 for _, subs in chunks)
+        assert sum(subs.size for _, subs in chunks) == 3 ** 10
+
+    def test_block_rows_are_the_submasks_of_their_mask(self):
+        for f in range(11):
+            blocks = exact._submask_blocks(f)
+            assert len(blocks) == f + 1
+            seen = []
+            for p, (masks, subs) in enumerate(blocks):
+                assert subs.dtype == np.uint16 and subs.shape == (len(masks), 1 << p)
+                for mask, row in zip(masks.tolist(), subs.tolist()):
+                    assert mask.bit_count() == p
+                    assert row == submasks(mask)
+                seen.extend(masks.tolist())
+            assert sorted(seen) == list(range(1 << f))
+
+
+class TestDpLimit:
+    def test_largest_admitted_instance(self):
+        # path 0-1-...-17 with commodities (0, 17), (3, 3), (9, 9): 14 free
+        # vertices. d(0, 17) = 17 bounds the total from below and the path
+        # walk attains it; any vertex given to a depot costs it at least 2.
+        inst = Instance(Graph(18, [[v, v + 1] for v in range(17)]), ((0, 17), (3, 3), (9, 9)))
+        assert free_count(inst) == LIMIT_DP
+        tracemalloc.start()
+        try:
+            result = exact_opt(inst, limit_free=LIMIT_DP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        path = tuple(range(18))
+        assert result.cost == 17
+        assert result.assignment == (frozenset(path) - {0, 3, 9, 17}, frozenset(), frozenset())
+        assert result.orders == (tuple(v for v in path if v not in (3, 9)), (3,), (9,))
+        assert peak < 32 * 2 ** 20
+
+    def test_one_more_free_vertex_is_refused(self):
+        inst = Instance(Graph(19, [[v, v + 1] for v in range(18)]), ((0, 18), (3, 3), (9, 9)))
+        with pytest.raises(OracleLimitError, match="limit_dp=14"):
+            exact_opt(inst, limit_free=LIMIT_DP + 1)
+
+
 class TestCutCheck:
     def test_zero_flow_vacuous(self):
         inst = Instance(Graph(2, [[0, 1]]), ((0, 0), (1, 1)))
         sol = solve_lp(inst)
-        import numpy as np
-
         from multipath_tsp.lp import FractionalSolution
 
         zero = FractionalSolution(inst, sol.digraph, np.zeros_like(sol.flows), np.zeros_like(sol.cover), 0.0)
