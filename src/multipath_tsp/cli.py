@@ -70,9 +70,11 @@ def _cmd_solve_multipath(args) -> None:
 
 
 def _cmd_solve_ordered(args) -> None:
+    if args.trials < 0:
+        raise InstanceError("schema", f"invalid setting: trials = {args.trials} is outside [0, inf]")
     inst = _require_ordered(_read_instance(args.input), "solve-ordered")
     plan = prepare(inst)
-    if args.trials and args.trials > 1:
+    if args.trials > 1:
         costs, ratios = [], []
         for trial in range(args.trials):
             _, report, _ = run_ordered_trial(plan, args.seed + trial)

@@ -9,6 +9,17 @@ partition dynamic program over submasks. In a metric a walk covering a
 superset never costs less, so some optimal solution induces such an
 assignment; the relaxed-oracle test in the suite spot-checks this reasoning.
 
+The Held-Karp tables keep only minima: one float32 (f, 2^f) table per
+commodity, best[i, mask] with the last waypoint i first, built one popcount
+layer at a time by an elementwise minimum over the predecessors i, each a
+gather from the contiguous row best[i] at the layer's masks with one bit
+cleared. A waypoint order is rebuilt only for the mask the partition DP
+picks, by an argmin per step from the sink back; argmin keeps the lowest
+index among ties. float32 is exact here: every entry is INF or a whole
+number of at most LIMIT_DP + 1 legs of at most n - 1 edges each, far below
+2^24 for any graph whose n x n distance matrix fits in memory, so every sum
+and minimum is exact.
+
 The partition DP keeps only minima: prefix[i][mask] is the cheapest cover of
 mask by the first i+1 commodities, one min-plus step per commodity over
 cached popcount blocks (row r of block p holds the 2^p submasks of the r-th
@@ -85,47 +96,49 @@ def _row_chunks(f: int):
 
 
 def _walk_tables(dist: np.ndarray, s: int, t: int, free: list[int], layers: list[np.ndarray]):
-    """Held-Karp tables: best[mask, j] = cheapest s -> free[j] path visiting mask.
+    """Held-Karp tables: best[i, mask] = cheapest s -> free[i] path visiting mask.
 
-    Layer by layer, best[mask, j] is the minimum over i of
-    best[mask ^ 1 << j, i] + d(free[i], free[j]); entries with i outside
-    that mask are INF, and argmin keeps the lowest i among ties. Returns
-    (cost per mask, waypoint order per mask) for ending at the commodity's
-    own sink (s == t means the walk closes back at s).
+    Layer by layer, best[j, mask] is the minimum over i of
+    best[i, mask ^ 1 << j] + d(free[i], free[j]); entries with i outside
+    that mask are INF. Only minima are stored, so order(mask) rebuilds one
+    waypoint order by an argmin per step, which keeps the lowest index among
+    ties. Returns (cost per mask, waypoint order per mask) for ending at the
+    commodity's own sink (s == t means the walk closes back at s).
     """
     f = len(free)
     cols = np.arange(f)
     bits = 1 << cols
-    d_free = dist[np.ix_(free, free)]
-    best = np.full((1 << f, f), INF)
-    parent = np.full((1 << f, f), -1, dtype=np.int8)
-    best[bits, cols] = dist[s, free]
+    d_free = dist[np.ix_(free, free)].astype(np.float32)
+    d_sink = dist[free, t].astype(np.float32)
+    best = np.full((f, 1 << f), INF, dtype=np.float32)
+    best[cols, bits] = dist[s, free]
     for masks in layers[2:]:
-        cand = best[masks[:, None] ^ bits]   # cand[m, j, i]
-        cand += d_free.T
-        arg = cand.argmin(axis=2)
-        parent[masks] = arg
-        best[masks] = np.take_along_axis(cand, arg[..., None], axis=2)[..., 0]
-    close = best + dist[free, t]
-    cost = close.min(axis=1, initial=INF)
+        idx = masks[:, None] ^ bits   # idx[m, j] = mask ^ 1 << j
+        cur = np.full(idx.shape, INF, dtype=np.float32)
+        for i in range(f):
+            cand = best[i][idx]
+            cand += d_free[i]
+            np.minimum(cur, cand, out=cur)
+        best[:, masks] = cur.T
+    cost = np.full(1 << f, INF, dtype=np.float32)
+    for i in range(f):
+        np.minimum(cost, best[i] + d_sink[i], out=cost)
+    cost = cost.astype(float)
     cost[0] = dist[s, t]
-    # the last waypoint before the sink, lowest j among ties; with no free
-    # vertex argmin has nothing to scan, and order(0) needs no last waypoint
-    last = close.argmin(axis=1) if f else None
 
     def order(mask: int) -> tuple[int, ...]:
-        if mask == 0:
-            return (s,) if s == t else (s, t)
         seq = []
-        j = int(last[mask])
-        m = mask
-        while j != -1:
+        if mask:
+            # the last waypoint before the sink, then each predecessor in turn
+            j = int((best[:, mask] + d_sink).argmin())
             seq.append(free[j])
-            pj = int(parent[m, j])
-            m ^= 1 << j
-            j = pj
-        seq.reverse()
-        return (s, *seq, t) if s != t else (s, *seq, s)
+            mask ^= 1 << j
+            while mask:
+                j = int((best[:, mask] + d_free[:, j]).argmin())
+                seq.append(free[j])
+                mask ^= 1 << j
+            seq.reverse()
+        return (s,) if s == t and not seq else (s, *seq, t)
 
     return cost, order
 

@@ -290,6 +290,7 @@ class TestCli:
         ["gen", "--edge-prob", "-0.1"],
         ["gen", "--depot-fraction", "2"],
         ["gen", "--depot-fraction", "nan"],
+        ["solve-ordered", "--input", str(DATA / "fig1_ordered.json"), "--trials", "-1"],
     ])
     def test_out_of_range_setting_is_exit_two(self, argv, capsys):
         assert main(argv) == 2

@@ -215,6 +215,60 @@ class TestTables:
         assert exact_by_permutations(inst) == 7
 
 
+def held_karp_by_loops(dist, s: int, t: int, free: list[int]):
+    """Held-Karp one (mask, j, i) triple at a time: the cost of every mask and
+    the waypoint order of every mask, taking the lowest i among tied
+    predecessors and the lowest j among tied last waypoints."""
+    f = len(free)
+    best, parent = {}, {}
+    for j in range(f):
+        best[1 << j, j], parent[1 << j, j] = dist[s][free[j]], None
+    for mask in range(1, 1 << f):
+        if mask.bit_count() < 2:
+            continue
+        for j in range(f):
+            if not mask >> j & 1:
+                continue
+            prev = mask ^ 1 << j
+            best[mask, j] = INF
+            for i in range(f):
+                if prev >> i & 1 and best[prev, i] + dist[free[i]][free[j]] < best[mask, j]:
+                    best[mask, j], parent[mask, j] = best[prev, i] + dist[free[i]][free[j]], i
+    costs, orders = [dist[s][t]], [(s,) if s == t else (s, t)]
+    for mask in range(1, 1 << f):
+        cost, last = INF, None
+        for j in range(f):
+            if mask >> j & 1 and best[mask, j] + dist[free[j]][t] < cost:
+                cost, last = best[mask, j] + dist[free[j]][t], j
+        seq, m, j = [], mask, last
+        while j is not None:
+            seq.append(free[j])
+            m, j = m ^ 1 << j, parent[m, j]
+        costs.append(cost)
+        orders.append((s, *seq[::-1], t))
+    return costs, orders
+
+
+class TestHeldKarp:
+    def test_tables_match_double_loop(self):
+        # unit-length BFS metrics on sparse random graphs, so tied walks abound
+        rng = random.Random(127)
+        for f in range(10):
+            for depot in (True, False):
+                n = f + (1 if depot else 2)
+                s, t = (0, 0) if depot else (0, n - 1)
+                edges = [[rng.randrange(v), v] for v in range(1, n)]
+                edges += [[u, v] for u, v in itertools.combinations(range(n), 2)
+                          if [u, v] not in edges and rng.random() < 0.15]
+                dist = all_pairs_distances(Graph(n, edges))
+                free = [v for v in range(n) if v not in (s, t)]
+                cost, order = exact._walk_tables(
+                    np.array(dist, dtype=float), s, t, free, exact._popcount_layers(f))
+                want_cost, want_order = held_karp_by_loops(dist, s, t, free)
+                assert cost.tolist() == want_cost
+                assert [order(mask) for mask in range(1 << f)] == want_order
+
+
 def optimal_assignments(inst: Instance) -> tuple[int, list[tuple[int, ...]]]:
     """Brute force: the optimum and every optimal assignment, each as one
     bitmask over the sorted free vertices per commodity."""
