@@ -74,7 +74,7 @@ def _cmd_solve_ordered(args) -> None:
         raise InstanceError("schema", f"invalid setting: trials = {args.trials} is outside [0, inf]")
     inst = _require_ordered(_read_instance(args.input), "solve-ordered")
     plan = prepare(inst)
-    if args.trials > 1:
+    if args.trials >= 1:
         costs, ratios = [], []
         for trial in range(args.trials):
             _, report, _ = run_ordered_trial(plan, args.seed + trial)

@@ -217,13 +217,14 @@ class TestCli:
         assert sol.cost <= 16
 
     def test_solve_ordered_trials(self, capsys):
-        code = main([
-            "solve-ordered", "--input", str(DATA / "fig1_ordered.json"),
-            "--seed", "0", "--trials", "8",
-        ])
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["trials"] == 8 and out["mean_cost"] > 0
+        for trials in (8, 1):
+            code = main([
+                "solve-ordered", "--input", str(DATA / "fig1_ordered.json"),
+                "--seed", "0", "--trials", str(trials),
+            ])
+            assert code == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["trials"] == trials and out["mean_cost"] > 0
 
     def test_solve_ordered_single(self, capsys):
         code = main(["solve-ordered", "--input", str(DATA / "fig1_ordered.json"), "--seed", "1"])

@@ -1,11 +1,14 @@
 import random
 
+import networkx as nx
 import pytest
 
-from multipath_tsp.graphs import Graph, bfs_distances
+from multipath_tsp.graphs import Graph, all_pairs_distances, bfs_distances
 from multipath_tsp.parity import (
+    MATCH_DP_MAX,
     EdgeMultiset,
     min_tjoin,
+    min_weight_pairs,
     odd_vertices,
     tjoin_brute_force,
 )
@@ -71,6 +74,11 @@ class TestMinJoin:
         with pytest.raises(ValueError):
             min_tjoin(path3.graph, (0,))
 
+    def test_rejects_vertex_outside_graph(self, path3):
+        for odd in ((-1, 0), (0, 3)):
+            with pytest.raises(ValueError):
+                min_tjoin(path3.graph, odd)
+
     def test_rejects_repeated_vertex(self, path3):
         with pytest.raises(ValueError):
             min_tjoin(path3.graph, (0, 1, 1, 2))
@@ -117,3 +125,58 @@ class TestMinJoin:
                 return dists[a][best] + greedy_sum(rest)
             assert join.cost <= greedy_sum(list(odd))
 
+
+def blossom_weight(dists, odd) -> int:
+    complete = nx.Graph()
+    complete.add_nodes_from(odd)
+    for idx, a in enumerate(odd):
+        for b in odd[idx + 1:]:
+            complete.add_edge(a, b, weight=dists[a][b])
+    return sum(dists[a][b] for a, b in nx.min_weight_matching(complete))
+
+
+class TestMatchingDp:
+    def test_weight_equals_blossom_for_every_even_size(self):
+        rng = random.Random(29)
+        for size in range(0, MATCH_DP_MAX + 1, 2):
+            for _ in range(6):
+                n = rng.randint(max(size, 2), 18)
+                g = random_graph(rng, n, max_edges=rng.randint(n - 1, 2 * n))
+                dists = all_pairs_distances(g)
+                odd = tuple(sorted(rng.sample(range(n), size)))
+                pairs = min_weight_pairs([[dists[a][b] for b in odd] for a in odd])
+                assert sorted(v for pair in pairs for v in pair) == list(range(size))
+                assert all(i < j for i, j in pairs)
+                weight = sum(dists[odd[i]][odd[j]] for i, j in pairs)
+                assert weight == blossom_weight(dists, odd), (size, g.edges, odd)
+
+    def test_cost_equals_exhaustive_oracle_up_to_22_edges(self):
+        rng = random.Random(41)
+        for trial in range(30):
+            n = rng.randint(8, 14)
+            g = random_graph(rng, n, max_edges=rng.randint(n - 1, 22))
+            odd = random_even_subset(rng, n)
+            best, _ = tjoin_brute_force(g, odd)
+            assert min_tjoin(g, odd).cost == best, (trial, odd, g.edges)
+
+    def test_both_sides_of_the_threshold(self):
+        rng = random.Random(5)
+        g = random_graph(rng, 16, max_edges=18)
+        for size in (MATCH_DP_MAX, MATCH_DP_MAX + 2):
+            odd = tuple(sorted(rng.sample(range(16), size)))
+            join = min_tjoin(g, odd)
+            best, _ = tjoin_brute_force(g, odd)
+            assert join.cost == best
+            m = EdgeMultiset(g)
+            for e in join.edges:
+                m.add_edge(e)
+            assert odd_vertices(m) == frozenset(odd)
+
+    def test_ties_go_to_the_lowest_partner(self):
+        # on the 4-cycle 0-1-2-3-0 both {01, 23} and {03, 12} weigh 2;
+        # vertex 0 takes partner 1, the lower of the two tying partners
+        g = Graph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
+        dists = all_pairs_distances(g)
+        assert min_weight_pairs(dists) == [(0, 1), (2, 3)]
+        join = min_tjoin(g, (0, 1, 2, 3), dists)
+        assert join.edges == frozenset({g.edge_id(0, 1), g.edge_id(2, 3)})
