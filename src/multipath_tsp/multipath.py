@@ -173,7 +173,8 @@ def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
     first) anchored at its lowest vertex that lies on a walk, and inserted
     at the first occurrence of that vertex in the lowest-indexed walk
     containing it. Walk endpoints do not move, and the result uses every
-    walk edge and every extra edge exactly once.
+    walk edge and every extra edge exactly once; its cost is checked to be
+    the walk edges plus one per extra edge copy.
     """
     if any(d % 2 for d in extra.degrees()):
         raise InternalError("parity violation: extra edges must have even degree everywhere")
@@ -191,6 +192,7 @@ def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
         lst.sort()
 
     walks = [list(w) for w in walks]
+    want = sum(len(w) - 1 for w in walks) + tok
     first: dict[int, tuple[int, int]] = {}
     for i, walk in enumerate(walks):
         for pos, v in enumerate(walk):
@@ -209,7 +211,10 @@ def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
     # splice from the back so the recorded positions stay valid
     for i, pos in sorted(excursions, reverse=True):
         walks[i][pos + 1:pos + 1] = excursions[i, pos][1:]
-    return Solution(tuple(tuple(w) for w in walks), sum(len(w) - 1 for w in walks))
+    cost = sum(len(w) - 1 for w in walks)
+    if cost != want:
+        raise InternalError(f"the splice changed the edge count: {cost} != {want}")
+    return Solution(tuple(tuple(w) for w in walks), cost)
 
 
 def reconnect(inst: AnyInstance, state: SamplerState) -> Solution:
@@ -226,8 +231,6 @@ def _finish(plan: SolverPlan, state: SamplerState) -> tuple[Solution, CostReport
     sampling = sum(len(w) - 1 for w in state.walks)
     reconnection = 2 * (inst.graph.n - len(state.covered))
     sol = reconnect(inst, state)
-    if sol.cost != sampling + reconnection:
-        raise InternalError(f"the splice changed the edge count: {sol.cost} != {sampling + reconnection}")
     ok, why = validate_solution(inst, sol)
     if not ok:
         raise InternalError(f"solver produced an invalid solution: {why}")
@@ -304,12 +307,14 @@ def derandomize_choices(dec: Decomposition, mass: np.ndarray) -> tuple[list[int 
 
 
 def run_derandomized(plan: SolverPlan) -> tuple[Solution, CostReport]:
-    """Deterministic variant; output cost is at most 2 * LP + EPS_OBJ."""
-    choices, _ = derandomize_choices(plan.decomposition, plan.mass)
+    """Deterministic variant. Each call certifies, within EPS_OBJ, that its
+    cost is at most phi0 (the opening potential) and phi0 at most 2 * LP."""
+    choices, trace = derandomize_choices(plan.decomposition, plan.mass)
     sol, report = _finish(plan, _state(plan.decomposition, choices))
-    if report.total > 2.0 * plan.lp.objective + EPS_OBJ:
+    phi0, twice_lp = trace[0], 2.0 * plan.lp.objective
+    if report.total > phi0 + EPS_OBJ or max(report.total, phi0) > twice_lp + EPS_OBJ:
         raise InternalError(
-            f"derandomized cost {report.total} exceeds twice the LP value {plan.lp.objective}"
+            f"derandomized cost {report.total} breaks cost <= phi0 {phi0} <= 2 * LP {twice_lp}"
         )
     return sol, report
 

@@ -1,12 +1,12 @@
 """Ordered tour solver: sampling, single-edge reconnection and join-based
 parity correction.
 
-Each uncovered vertex costs one edge here instead of two; the resulting odd
-degrees of the combined edge multiset are then fixed by a minimum join. The
-extra edges (reconnections plus the join) have even degree at every vertex,
-so `multipath.splice_excursions` splices them into the sampled walks as
-closed excursions, which keeps every walk's endpoints and so the terminal
-order.
+Each uncovered vertex costs one edge here instead of two, and a minimum join
+fixes the odd degrees. Every terminal starts one walk and ends another, so
+the sampled walks add even degree everywhere and the join needs only the odd
+set of the reconnection edges. Reconnections plus join are then even, and
+`multipath.splice_excursions` splices them into the walks as closed
+excursions, which keeps every walk's endpoints and so the terminal order.
 """
 
 from __future__ import annotations
@@ -25,21 +25,10 @@ extract_ordered_walks = splice_excursions
 
 
 def validate_ordered(inst: OrderedInstance, sol: Solution) -> tuple[bool, str | None]:
-    ok, why = validate_solution(inst, sol)
-    if not ok:
-        return False, why
-    # terminal order: concatenated walks must visit the terminals cyclically
-    concat: list[int] = []
-    for walk in sol.walks:
-        concat.extend(walk)
-    want = list(inst.order) + [inst.order[0]]
-    pos = 0
-    for v in concat:
-        if pos < len(want) and v == want[pos]:
-            pos += 1
-    if pos < len(want):
-        return False, "terminal order violated"
-    return True, None
+    """`validate_solution`: walk i must run from o_i to o_{i+1}, so walks
+    that pass visit the terminals in cyclic order. Not an alias, so that
+    perfbench traces it apart from `validate_solution`."""
+    return validate_solution(inst, sol)
 
 
 def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport, TJoin]:
@@ -52,17 +41,12 @@ def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport
     extra = EdgeMultiset(g)
     for v, w in steps:
         extra.add(v, w)
-    union = extra.copy()
-    for walk in state.walks:
-        union.add_walk(walk)
-    join = min_tjoin(g, odd_vertices(union), plan.dists)
+    join = min_tjoin(g, odd_vertices(extra), plan.dists)
     for e in join.edges:
         extra.add_edge(e)
     sol = splice_excursions(g, state.walks, extra)
     sampling = sum(len(w) - 1 for w in state.walks)
     report = make_report(sampling, len(steps), join.cost, plan.lp.objective)
-    if sol.cost != report.total:
-        raise InternalError(f"the splice changed the edge count: {sol.cost} != {report.total}")
     if join.cost > plan.lp.objective / 2.0 + EPS_OBJ:
         raise InternalError("parity join exceeded half the LP value")
     ok, why = validate_ordered(inst, sol)

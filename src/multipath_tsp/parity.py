@@ -47,9 +47,6 @@ class EdgeMultiset:
             deg[b] += c
         return deg
 
-    def copy(self) -> "EdgeMultiset":
-        return EdgeMultiset(self.graph, dict(self.counts))
-
     def items(self):
         return sorted(self.counts.items())
 

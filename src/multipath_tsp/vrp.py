@@ -1,12 +1,12 @@
 """Multi-depot coverage baseline and the best-of-two combining solver.
 
-The baseline doubles a depot-rooted spanning forest: a multi-source BFS puts
-every non-depot vertex in its nearest depot's tree (ties to the lowest depot
-index), and `multipath.splice_excursions` splices each doubled tree into its
-depot's walk, so the cost is exactly 2*(n - k). The combiner runs the
-derandomized path solver and the depot baseline on the associated all-depot
-instance (sinks replaced by sources, shortest source-sink paths appended
-afterwards) and keeps the cheaper.
+Both splice one doubled forest into walks: a multi-source BFS puts every
+vertex in a nearest root's tree (ties to the earliest root), and each tree
+edge is taken twice, 2*(n - roots) edges in all. The baseline roots it at the
+depots, one walk each. The combiner's depot branch (sinks moved onto their
+sources, then the shortest source-sink paths appended) roots it at the
+distinct sources and splices it into those paths; the cheaper of that branch
+and the derandomized path solver wins.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InstanceError, InternalError
-from .graphs import shortest_path
+from .graphs import Graph, shortest_path
 from .instances import Instance, Solution, validate_solution
 from .multipath import SolverPlan, prepare, run_derandomized, splice_excursions
 from .parity import EdgeMultiset
@@ -30,6 +30,30 @@ class CombinerReport:
     distance_sum: int
 
 
+def _doubled_forest(g: Graph, roots: list[int]) -> EdgeMultiset:
+    """Every BFS tree edge of a multi-source BFS from `roots`, taken twice."""
+    seen = [False] * g.n
+    for r in roots:
+        seen[r] = True
+    forest = EdgeMultiset(g)
+    queue = deque(roots)
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                forest.add(u, w, 2)
+                queue.append(w)
+    return forest
+
+
+def _checked(inst: Instance, sol: Solution, what: str) -> Solution:
+    ok, why = validate_solution(inst, sol)
+    if not ok:
+        raise InternalError(f"{what} produced an invalid solution: {why}")
+    return sol
+
+
 def solve_vrp_forest(inst: Instance) -> Solution:
     """Double a nearest-depot spanning forest; one closed walk per depot.
 
@@ -39,69 +63,31 @@ def solve_vrp_forest(inst: Instance) -> Solution:
         if s != t:
             raise InstanceError("not-vrp", f"commodity ({s},{t}) has distinct endpoints")
     depots = [s for s, _ in inst.commodities]
-    g = inst.graph
-    seen = [False] * g.n
-    for d in depots:
-        seen[d] = True
-    extra = EdgeMultiset(g)
-    queue = deque(depots)
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                extra.add(u, w, 2)
-                queue.append(w)
-    sol = splice_excursions(g, [[d] for d in depots], extra)
-    ok, why = validate_solution(inst, sol)
-    if not ok:
-        raise InternalError(f"forest baseline produced an invalid solution: {why}")
-    return sol
+    sol = splice_excursions(inst.graph, [[d] for d in depots], _doubled_forest(inst.graph, depots))
+    return _checked(inst, sol, "forest baseline")
 
 
 def run_combiner(plan: SolverPlan) -> tuple[Solution, CombinerReport]:
-    """Best of the derandomized path solver and the depot-baseline branch.
+    """Best of the derandomized path solver and the depot branch; ties go
+    to the path solver.
 
-    The depot branch solves the instance with every sink moved onto its
-    source (duplicated sources collapse to one depot; the extra commodities
-    keep singleton walks) and then appends a shortest source-sink path to
-    each walk.
+    The depot branch splices the doubled forest rooted at the distinct
+    sources (in first-occurrence order) into the shortest source-sink paths.
+    `vrp_base_cost` is the forest's edge count, 2*(n - distinct sources),
+    and `distance_sum` the paths' total length.
     """
     inst = plan.instance
+    g = inst.graph
     sol1, _ = run_derandomized(plan)
-
-    unique: list[int] = []
-    first_for_depot: dict[int, int] = {}
-    for i, (s, _) in enumerate(inst.commodities):
-        if s not in first_for_depot:
-            first_for_depot[s] = i
-            unique.append(s)
-    base_sol = solve_vrp_forest(Instance(inst.graph, tuple((d, d) for d in unique)))
-    base_cost = base_sol.cost
-
-    walks: list[tuple[int, ...]] = []
-    d_sum = 0
-    for i, (s, t) in enumerate(inst.commodities):
-        if first_for_depot[s] == i:
-            walk = list(base_sol.walks[unique.index(s)])
-        else:
-            walk = [s]
-        if s != t:
-            route = shortest_path(inst.graph, s, t)
-            walk.extend(route[1:])
-            d_sum += len(route) - 1
-        walks.append(tuple(walk))
-    sol2 = Solution(tuple(walks), sum(len(w) - 1 for w in walks))
-    ok, why = validate_solution(inst, sol2)
-    if not ok:
-        raise InternalError(f"depot branch produced an invalid solution: {why}")
-
+    forest = _doubled_forest(g, list(dict.fromkeys(s for s, _ in inst.commodities)))
+    routes = [[s] if s == t else shortest_path(g, s, t) for s, t in inst.commodities]
+    sol2 = _checked(inst, splice_excursions(g, routes, forest), "depot branch")
     report = CombinerReport(
         winner="multipath" if sol1.cost <= sol2.cost else "vrp",
         cost_multipath=sol1.cost,
         cost_vrp_branch=sol2.cost,
-        vrp_base_cost=base_cost,
-        distance_sum=d_sum,
+        vrp_base_cost=sum(forest.counts.values()),
+        distance_sum=sum(len(r) - 1 for r in routes),
     )
     return (sol1 if sol1.cost <= sol2.cost else sol2), report
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from multipath_tsp.bench import BenchConfig, generate
 from multipath_tsp.decomposition import decompose, path_mass
+from multipath_tsp.errors import InternalError
 from multipath_tsp.graphs import BidirectedGraph, Graph
 from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import FractionalSolution
@@ -185,6 +187,27 @@ class TestDerandomized:
         assert trace[0] <= 2 * fig1_lp.objective + 1e-9
         # ties break toward the lowest path index
         assert choices == [0, 0]
+
+    def test_certificate_on_generated_instances(self):
+        # the family the choice-rule mutants were measured on: a potential
+        # that rises, or a cost above the opening potential, would catch them
+        cfg = BenchConfig(mode="multipath", seed=5, n_min=6, n_max=20, k_min=1, k_max=5, extra_edges=10)
+        for index in range(1000, 1300):
+            plan = prepare(generate(cfg, index))
+            _, trace = derandomize_choices(plan.decomposition, plan.mass)
+            assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:])), index
+            _, report = run_derandomized(plan)
+            assert report.total <= trace[0] + 1e-9, index
+            assert trace[0] <= 2 * plan.lp.objective + 1e-9, index
+
+    def test_certificate_raises(self, fig1, monkeypatch):
+        import multipath_tsp.multipath as mp
+
+        plan = prepare(fig1)
+        real = mp.derandomize_choices
+        monkeypatch.setattr(mp, "derandomize_choices", lambda dec, mass: (real(dec, mass)[0], [0.0]))
+        with pytest.raises(InternalError, match="phi0"):
+            run_derandomized(plan)
 
     def test_trace_end_equals_realized_cost(self):
         for inst in random_instances("multipath", 20, seed=29, n_max=10):

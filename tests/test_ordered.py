@@ -135,10 +135,7 @@ class TestExtraction:
             extra = EdgeMultiset(g)
             for v, w in attachment_order(g, state.covered):
                 extra.add(v, w)
-            union = extra.copy()
-            for walk in state.walks:
-                union.add_walk(walk)
-            join = min_tjoin(g, odd_vertices(union), plan.dists)
+            join = min_tjoin(g, odd_vertices(extra), plan.dists)
             for e in join.edges:
                 extra.add_edge(e)
             sol = splice_excursions(g, [tuple(w) for w in state.walks], extra)
@@ -151,6 +148,26 @@ class TestExtraction:
                 for u, v in zip(walk, walk[1:]):
                     expected[g.edge_id(u, v)] += 1
             assert produced == expected
+
+    def test_walks_add_no_odd_vertex(self):
+        # each terminal starts one walk and ends the next, so the join can
+        # read the odd set of the reconnection edges alone, as the solver does
+        from multipath_tsp.multipath import attachment_order, sample_paths
+        from multipath_tsp.parity import odd_vertices
+
+        for inst in random_instances("ordered", 30, seed=89, n_max=12):
+            plan = prepare(inst)
+            g = inst.graph
+            for seed in range(3):
+                state = sample_paths(plan.decomposition, seed)
+                extra = EdgeMultiset(g)
+                union = EdgeMultiset(g)
+                for v, w in attachment_order(g, state.covered):
+                    extra.add(v, w)
+                    union.add(v, w)
+                for walk in state.walks:
+                    union.add_walk(walk)
+                assert odd_vertices(extra) == odd_vertices(union)
 
     def test_parity_violation_detected(self, triangle):
         extra = EdgeMultiset(triangle.graph)

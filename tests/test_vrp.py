@@ -3,7 +3,7 @@ import pytest
 from multipath_tsp.errors import InstanceError
 from multipath_tsp.exact import exact_opt
 from multipath_tsp.graphs import Graph, bfs_distances
-from multipath_tsp.instances import Instance, validate_solution
+from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.multipath import prepare, run_derandomized
 from multipath_tsp.vrp import run_combiner, solve_combiner, solve_vrp_forest
 
@@ -100,6 +100,36 @@ class TestCombiner:
     def test_plan_run_matches_instance_wrapper(self, fig1):
         for inst in [fig1] + random_instances("multipath", 20, seed=47, n_max=10):
             assert run_combiner(prepare(inst)) == solve_combiner(inst)
+
+    def test_depot_branch_wins_over_a_costlier_path_solution(self, fig1, monkeypatch):
+        import multipath_tsp.vrp as vrp
+
+        real = vrp.run_derandomized
+
+        def padded(plan):
+            # the path solver's walks with round trips to a neighbor of the
+            # first source: still valid, and dearer than any depot branch
+            sol, report = real(plan)
+            g = plan.instance.graph
+            s = sol.walks[0][0]
+            trips = g.n + sum(len(w) for w in sol.walks)
+            walk0 = (s, g.adj[s][0]) * trips + sol.walks[0]
+            dearer = Solution((walk0,) + sol.walks[1:], sol.cost + 2 * trips)
+            assert validate_solution(plan.instance, dearer) == (True, None)
+            return dearer, report
+
+        monkeypatch.setattr(vrp, "run_derandomized", padded)
+        duplicated = 0
+        for inst in [fig1] + random_instances("multipath", 30, seed=61, n_min=2, n_max=10, k_max=5):
+            sol, report = run_combiner(prepare(inst))
+            assert report.winner == "vrp"
+            ok, why = validate_solution(inst, sol)
+            assert ok, why
+            assert sol.cost == report.cost_vrp_branch == report.vrp_base_cost + report.distance_sum
+            sources = {s for s, _ in inst.commodities}
+            assert report.vrp_base_cost == 2 * (inst.graph.n - len(sources))
+            duplicated += len(sources) < inst.k
+        assert duplicated > 0
 
     def test_duplicate_sources_collapse(self, fig1):
         inst = Instance(fig1.graph, ((0, 2), (0, 3)))
