@@ -166,7 +166,8 @@ class TestExtraction:
                     extra.add(v, w)
                     union.add(v, w)
                 for walk in state.walks:
-                    union.add_walk(walk)
+                    for a, b in zip(walk, walk[1:]):
+                        union.add(a, b)
                 assert odd_vertices(extra) == odd_vertices(union)
 
     def test_parity_violation_detected(self, triangle):

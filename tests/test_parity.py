@@ -2,11 +2,15 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from multipath_tsp.graphs import Graph, all_pairs_distances, bfs_distances
 from multipath_tsp.parity import (
     MATCH_DP_MAX,
     EdgeMultiset,
+    certified_pairs,
     min_tjoin,
     min_weight_pairs,
     odd_vertices,
@@ -41,7 +45,8 @@ class TestOddVertices:
     def test_cycle_is_even(self):
         g = Graph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
         m = EdgeMultiset(g)
-        m.add_walk([0, 1, 2, 3, 0])
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 0)]:
+            m.add(u, v)
         assert odd_vertices(m) == frozenset()
 
     def test_doubled_edge_is_even(self):
@@ -53,8 +58,9 @@ class TestOddVertices:
         # two sampled walks plus two single reconnection edges from one
         # concrete run; odd set verified by hand
         m = EdgeMultiset(fig1.graph)
-        m.add_walk([0, 4, 6, 2])
-        m.add_walk([1, 9, 7, 4, 3])
+        for walk in ([0, 4, 6, 2], [1, 9, 7, 4, 3]):
+            for u, v in zip(walk, walk[1:]):
+                m.add(u, v)
         m.add(5, 7)
         m.add(5, 8)
         assert odd_vertices(m) == frozenset({0, 1, 2, 3, 7, 8})
@@ -135,20 +141,33 @@ def blossom_weight(dists, odd) -> int:
     return sum(dists[a][b] for a, b in nx.min_weight_matching(complete))
 
 
+def assignment_value(weight) -> int:
+    """A: the least assignment of the rows of `weight` without a fixed point."""
+    big = sum(map(sum, weight)) + 1
+    padded = [[big if i == j else c for j, c in enumerate(row)] for i, row in enumerate(weight)]
+    rows, cols = linear_sum_assignment(padded)
+    return int(sum(weight[i][j] for i, j in zip(rows, cols)))
+
+
 class TestMatchingDp:
     def test_weight_equals_blossom_for_every_even_size(self):
         rng = random.Random(29)
-        for size in range(0, MATCH_DP_MAX + 1, 2):
+        for size in range(0, 25, 2):
             for _ in range(6):
-                n = rng.randint(max(size, 2), 18)
+                n = rng.randint(max(size, 2), 40)
                 g = random_graph(rng, n, max_edges=rng.randint(n - 1, 2 * n))
                 dists = all_pairs_distances(g)
                 odd = tuple(sorted(rng.sample(range(n), size)))
-                pairs = min_weight_pairs([[dists[a][b] for b in odd] for a in odd])
-                assert sorted(v for pair in pairs for v in pair) == list(range(size))
-                assert all(i < j for i, j in pairs)
-                weight = sum(dists[odd[i]][odd[j]] for i, j in pairs)
-                assert weight == blossom_weight(dists, odd), (size, g.edges, odd)
+                best = blossom_weight(dists, odd)
+                assert min_tjoin(g, odd, dists).cost == best, (size, g.edges, odd)
+                weight = [[dists[a][b] for b in odd] for a in odd]
+                matchings = [min_weight_pairs(weight)] if size <= MATCH_DP_MAX else []
+                if size:
+                    matchings.append(certified_pairs(weight))  # None where the bound cannot certify
+                for pairs in filter(None, matchings):
+                    assert sorted(v for pair in pairs for v in pair) == list(range(size))
+                    assert all(i < j for i, j in pairs)
+                    assert sum(weight[i][j] for i, j in pairs) == best, (size, g.edges, odd)
 
     def test_cost_equals_exhaustive_oracle_up_to_22_edges(self):
         rng = random.Random(41)
@@ -180,3 +199,60 @@ class TestMatchingDp:
         assert min_weight_pairs(dists) == [(0, 1), (2, 3)]
         join = min_tjoin(g, (0, 1, 2, 3), dists)
         assert join.edges == frozenset({g.edge_id(0, 1), g.edge_id(2, 3)})
+
+
+class TestCertifiedMatching:
+    def test_uncertified_repair_goes_to_the_blossom(self):
+        # a tree: centre 0 with leaves 1, 2, 3 and the edge 0-4; 4-5; 5 with
+        # leaves 6, 7. The assignment's cycles repair to a matching of weight
+        # 8, above the bound 6 = (12 + 1) // 2, so the blossom matches it; the
+        # tree's only join with every vertex odd has 6 edges
+        g = Graph(8, [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5], [5, 6], [5, 7]])
+        dists = all_pairs_distances(g)
+        odd = tuple(range(8))
+        weight = [[dists[a][b] for b in odd] for a in odd]
+        assert assignment_value(weight) == 12
+        assert certified_pairs(weight) is None
+        best, _ = tjoin_brute_force(g, odd)
+        assert best == 6
+        assert min_tjoin(g, odd, dists).cost == best
+
+    def test_odd_assignment_certified_by_its_ceiling(self):
+        # triangle 0-1-3, the edge 0-2, and leaves 4 and 5 at 2: the least
+        # assignment runs round the two triangles {0, 1, 3} and {2, 4, 5} of
+        # the distances, 3 + 4 = 7, so A / 2 = 3.5 is not reached by any
+        # integer matching, and the ceiling 4 is the optimum, (1, 3) + (2, 4)
+        # + (0, 5) or (0, 2) + (1, 3) + (4, 5)
+        g = Graph(6, [[0, 1], [0, 2], [0, 3], [1, 3], [2, 4], [2, 5]])
+        dists = all_pairs_distances(g)
+        odd = tuple(range(6))
+        weight = [[dists[a][b] for b in odd] for a in odd]
+        assert assignment_value(weight) == 7
+        pairs = certified_pairs(weight)
+        assert pairs is not None
+        assert sum(weight[i][j] for i, j in pairs) == 4
+        assert min_tjoin(g, odd, dists).cost == tjoin_brute_force(g, odd)[0] == 4
+
+
+@st.composite
+def small_graph_and_even_set(draw):
+    n = draw(st.integers(2, 9))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    tree = set(edges)
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.integers(0, min(len(chords), 22 - len(edges))))
+    edges += draw(st.permutations(chords))[:extra]
+    odd = [v for v in range(n) if draw(st.booleans())]
+    return Graph(n, edges), tuple(odd[len(odd) % 2:])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_graph_and_even_set())
+def test_join_is_minimal_with_odd_set_exactly_t(case):
+    g, odd = case
+    join = min_tjoin(g, odd)
+    assert join.cost == tjoin_brute_force(g, odd)[0]
+    m = EdgeMultiset(g)
+    for e in join.edges:
+        m.add_edge(e)
+    assert odd_vertices(m) == frozenset(odd)
