@@ -1,4 +1,4 @@
-"""Unit-cost undirected graphs, their bidirected form, and max-flow/min-cut.
+"""Unit-cost undirected graphs, their bidirected form, and an Edmonds-Karp min cut.
 
 Everything here is immutable after construction and safe to share between
 concurrent workers; ``min_cut`` allocates its own scratch per call.
@@ -124,13 +124,10 @@ class BidirectedGraph:
 
     Arc 2e keeps the stored (u,v) orientation, arc 2e+1 is the reverse,
     so ``arc ^ 1`` is always the opposite arc and ``arc >> 1`` the base edge.
-
-    ``residual_heads`` and ``residual_incident`` describe the residual network
-    that ``min_cut`` augments on: residual edge 2a is arc a forward, 2a+1 its
-    reverse, and ``residual_incident[u]`` lists the residual edges leaving u.
+    The antiparallel pair is also the residual network ``min_cut`` augments on.
     """
 
-    __slots__ = ("base", "arcs", "out_arcs", "in_arcs", "residual_heads", "residual_incident")
+    __slots__ = ("base", "arcs", "out_arcs", "in_arcs")
 
     def __init__(self, base: Graph):
         self.base = base
@@ -148,15 +145,6 @@ class BidirectedGraph:
         self.arcs: tuple[tuple[int, int], ...] = tuple(arcs)
         self.out_arcs: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in out_lists)
         self.in_arcs: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in in_lists)
-        heads = [0] * (2 * len(arcs))
-        incident: list[list[int]] = [[] for _ in range(base.n)]
-        for a, (u, v) in enumerate(arcs):
-            heads[2 * a] = v
-            heads[2 * a + 1] = u
-            incident[u].append(2 * a)
-            incident[v].append(2 * a + 1)
-        self.residual_heads: tuple[int, ...] = tuple(heads)
-        self.residual_incident: tuple[tuple[int, ...], ...] = tuple(tuple(e) for e in incident)
 
     @property
     def num_arcs(self) -> int:
@@ -186,68 +174,39 @@ class CapacitatedNetwork:
 def min_cut(net: CapacitatedNetwork, s: int, t: int) -> tuple[float, frozenset[int]]:
     """Max s-t flow value and a minimum cut's source side.
 
-    Dinic-style: BFS level graph, then blocking augmentations along shortest
-    residual paths. Residuals below FLOW_EPS count as zero. Returns
-    (flow value, U) with s in U, t not in U, and cap(arcs leaving U) equal
-    to the value up to tolerance.
+    Edmonds-Karp: augment along shortest residual paths found by BFS. Pushing
+    flow along arc a frees as much on its reverse ``a ^ 1``, so one residual
+    entry per arc is the whole residual network. Residuals below FLOW_EPS
+    count as zero. Returns (flow value, U) with s in U, t not in U, and
+    cap(arcs leaving U) equal to the value up to tolerance; U is the set
+    residual-reachable from s, the inclusion-minimal minimum cut.
     """
     if s == t:
         raise ValueError("min_cut requires s != t")
-    dig = net.digraph
-    n = dig.base.n
-    num_arcs = dig.num_arcs
-    # Residual edge 2a is arc a forward, 2a+1 its reverse (initially empty).
+    arcs = net.digraph.arcs
+    out_arcs = net.digraph.out_arcs
     # A plain list: the loops below read and write it one scalar at a time.
-    res = [0.0] * (2 * num_arcs)
-    res[0::2] = net.capacity.tolist()
-    heads = dig.residual_heads
-    incident = dig.residual_incident
-
+    res = net.capacity.tolist()
     total = 0.0
     while True:
-        level = [UNREACHED] * n
-        level[s] = 0
+        via = {s: UNREACHED}  # the arc that first reached each vertex
         queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in incident[u]:
-                w = heads[eid]
-                if level[w] == UNREACHED and res[eid] > FLOW_EPS:
-                    level[w] = level[u] + 1
+        while queue and t not in via:
+            for a in out_arcs[queue.popleft()]:
+                w = arcs[a][1]
+                if w not in via and res[a] > FLOW_EPS:
+                    via[w] = a
                     queue.append(w)
-        if level[t] == UNREACHED:
+        if t not in via:
             # this last BFS has marked exactly the residual-reachable set
-            return total, frozenset(v for v in range(n) if level[v] != UNREACHED)
-        ptr = [0] * n
-        while True:
-            # one augmenting path inside the level graph
-            path: list[int] = []
-            v = s
-            while v != t:
-                advanced = False
-                while ptr[v] < len(incident[v]):
-                    eid = incident[v][ptr[v]]
-                    w = heads[eid]
-                    if res[eid] > FLOW_EPS and level[w] == level[v] + 1:
-                        path.append(eid)
-                        v = w
-                        advanced = True
-                        break
-                    ptr[v] += 1
-                if not advanced:
-                    if not path:
-                        v = None
-                        break
-                    # dead end: retreat one step and skip that edge
-                    dead = v
-                    eid = path.pop()
-                    v = s if not path else heads[path[-1]]
-                    level[dead] = UNREACHED
-                    ptr[v] += 1
-            if v is None:
-                break
-            bottleneck = min(res[eid] for eid in path)
-            for eid in path:
-                res[eid] -= bottleneck
-                res[eid ^ 1] += bottleneck
-            total += bottleneck
+            return total, frozenset(via)
+        path = []
+        v = t
+        while v != s:
+            path.append(via[v])
+            v = arcs[via[v]][0]
+        bottleneck = min(res[a] for a in path)
+        for a in path:
+            res[a] -= bottleneck
+            res[a ^ 1] += bottleneck
+        total += bottleneck

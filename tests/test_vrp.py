@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multipath_tsp.decomposition import Decomposition, FlowWalk, path_mass
 from multipath_tsp.errors import InstanceError
 from multipath_tsp.exact import exact_opt
-from multipath_tsp.graphs import Graph, bfs_distances
+from multipath_tsp.graphs import BidirectedGraph, Graph, bfs_distances
 from multipath_tsp.instances import Instance, Solution, validate_solution
-from multipath_tsp.multipath import prepare, run_derandomized
+from multipath_tsp.lp import EPS_OBJ, solve_lp
+from multipath_tsp.multipath import SolverPlan, derandomize_choices, prepare, run_derandomized
 from multipath_tsp.vrp import run_combiner, solve_combiner, solve_vrp_forest
 
 from conftest import random_instances
@@ -140,3 +144,63 @@ class TestCombiner:
         d = bfs_distances(fig1.graph, 0)
         assert report.cost_vrp_branch == 2 * 9 + d[2] + d[3]
         assert report.vrp_base_cost == 2 * 9
+
+
+def _walk(dig: BidirectedGraph, vertices: tuple[int, ...], weight: float) -> FlowWalk:
+    return FlowWalk(tuple(dig.arc_id(u, v) for u, v in zip(vertices, vertices[1:])), vertices, weight)
+
+
+def _depot_branch_cost(inst: Instance) -> int:
+    """D = sum of d(s_i, t_i) plus 2(n - |distinct sources|)."""
+    g = inst.graph
+    sources = {s for s, _ in inst.commodities}
+    return sum(bfs_distances(g, s)[t] for s, t in inst.commodities) + 2 * (g.n - len(sources))
+
+
+@st.composite
+def tree_instance(draw):
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Instance(Graph(n, edges), tuple(draw(st.lists(pair, min_size=1, max_size=4, unique=True))))
+
+
+class TestOpeningPotential:
+    """phi0, the derandomized pass's opening potential, against the depot
+    branch's cost D."""
+
+    def test_phi0_can_exceed_the_depot_branch(self):
+        # the 4-cycle 0-1-2-3-0: vertex 1 is the only non-terminal
+        inst = Instance(Graph(4, [[0, 3], [0, 1], [1, 2], [2, 3]]), ((0, 3), (3, 0), (2, 2)))
+        dig = BidirectedGraph(inst.graph)
+        paths = (
+            (_walk(dig, (0, 1, 2, 3), 0.5), _walk(dig, (0, 3), 0.5)),
+            (_walk(dig, (3, 2, 1, 0), 0.5), _walk(dig, (3, 0), 0.5)),
+            (),
+        )
+        dec = Decomposition(inst, paths, ((), (), ()))
+        # the hand point's flow costs 2 + 2, and so do these walks, so it is an LP optimum
+        witness = Solution(((0, 1, 2, 3), (3, 0), (2,)), 4)
+        assert validate_solution(inst, witness) == (True, None)
+        lp_sol = solve_lp(inst)
+        assert lp_sol.objective == pytest.approx(4.0, abs=EPS_OBJ)
+        choices, trace = derandomize_choices(dec, path_mass(inst, dec))
+        # expected lengths 2 + 2, plus twice Pr[vertex 1 uncovered] = 1/4
+        assert trace[0] == pytest.approx(4.5)
+        assert _depot_branch_cost(inst) == 1 + 1 + 2 * (4 - 3)
+        assert trace[0] > _depot_branch_cost(inst)
+        # the pass still ends at the optimum, and the tie goes to the path solver
+        assert choices == [1, 0, None]
+        sol, report = run_combiner(SolverPlan(inst, lp_sol, dec))
+        assert sol.cost == report.cost_multipath == report.cost_vrp_branch == 4
+        assert report.winner == "multipath"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tree_instance())
+    def test_phi0_at_most_depot_branch_on_trees(self, inst):
+        # a tree's paths are unique and shortest, so phi0 <= sum d + 2(n - |T|),
+        # and every source is a terminal
+        plan = prepare(inst)
+        _, trace = derandomize_choices(plan.decomposition, plan.mass)
+        assert trace[0] <= _depot_branch_cost(inst) + EPS_OBJ
+        assert run_combiner(plan)[1].cost_vrp_branch == _depot_branch_cost(inst)
