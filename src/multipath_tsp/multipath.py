@@ -1,6 +1,8 @@
 """Randomized path sampling with doubled-edge reconnection, its
 conditional-expectation derandomization, and the one splice that turns
-walks plus an even edge multiset into walks.
+walks plus an even edge multiset into walks. The splice's work follows the
+extra edges: it indexes only the vertices they touch and walks only their
+Euler circuits, so walk vertices without an extra edge cost next to nothing.
 
 The pipeline: solve the LP, decompose each commodity's flow, pick one path
 per split commodity (probability = path weight), then attach every vertex
@@ -121,91 +123,81 @@ def attachment_order(graph: Graph, covered: set[int]) -> list[tuple[int, int]]:
     """Deterministic reconnection schedule: repeatedly attach the lowest
     pending vertex that has a covered neighbor, via its lowest such neighbor."""
     covered = set(covered)
-    pending = set(range(graph.n)) - covered
+    pending = [v for v in range(graph.n) if v not in covered]
     steps: list[tuple[int, int]] = []
     while pending:
-        chosen_pair = None
-        for v in sorted(pending):
-            nbrs = [w for w in graph.adj[v] if w in covered]
-            if nbrs:
-                chosen_pair = (v, nbrs[0])
+        for i, v in enumerate(pending):
+            # `graph.adj` is sorted, so the first covered neighbor is the lowest
+            w = next((w for w in graph.adj[v] if w in covered), None)
+            if w is not None:
                 break
-        if chosen_pair is None:
+        else:
             raise InternalError("no pending vertex has a covered neighbor; graph not connected?")
-        v, w = chosen_pair
         steps.append((v, w))
         covered.add(v)
-        pending.discard(v)
+        del pending[i]
     return steps
-
-
-def _euler_circuit(
-    incident: list[list[tuple[int, int]]], used: set[int], ptr: list[int], start: int
-) -> list[int]:
-    """Closed walk from `start` over every token of its component not yet in
-    `used`, adding each token it takes to `used`.
-
-    Hierholzer with the lowest available (neighbor, token) taken first, so the
-    output is deterministic. `ptr[v]` only ever skips used tokens, so it is
-    shared across calls.
-    """
-    stack = [start]
-    circuit: list[int] = []
-    while stack:
-        v = stack[-1]
-        while ptr[v] < len(incident[v]) and incident[v][ptr[v]][1] in used:
-            ptr[v] += 1
-        if ptr[v] == len(incident[v]):
-            circuit.append(stack.pop())
-        else:
-            w, tok = incident[v][ptr[v]]
-            used.add(tok)
-            stack.append(w)
-    circuit.reverse()
-    return circuit
 
 
 def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
     """Splice an edge multiset with even degree at every vertex into the
     walks as closed excursions, one per connected component of `extra`.
 
-    Each component is traversed as an Eulerian circuit (lowest neighbor
-    first) anchored at its lowest vertex that lies on a walk, and inserted
-    at the first occurrence of that vertex in the lowest-indexed walk
-    containing it. Walk endpoints do not move, and the result uses every
+    Each component is traversed as an Eulerian circuit (Hierholzer, lowest
+    neighbor first) anchored at its lowest vertex that lies on a walk, and
+    inserted at the first occurrence of that vertex in the lowest-indexed
+    walk containing it. Walk endpoints do not move, and the result uses every
     walk edge and every extra edge exactly once; its cost is checked to be
-    the walk edges plus one per extra edge copy.
+    the walk edges plus one per extra edge copy. The work follows the extra
+    edges: only the vertices they touch are indexed, and a circuit is walked
+    only from a touched vertex that lies on a walk.
     """
-    if any(d % 2 for d in extra.degrees()):
-        raise InternalError("parity violation: extra edges must have even degree everywhere")
-
-    # one token per edge copy, listed at both ends as (neighbor, token)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    # one token per edge copy, listed at both ends as (neighbor, token),
+    # keyed by the touched vertices only
+    incident: dict[int, list[tuple[int, int]]] = {}
     tok = 0
     for e, count in extra.items():
         u, v = g.edges[e]
         for _ in range(count):
-            incident[u].append((v, tok))
-            incident[v].append((u, tok))
+            incident.setdefault(u, []).append((v, tok))
+            incident.setdefault(v, []).append((u, tok))
             tok += 1
-    for lst in incident:
-        lst.sort()
+    if any(len(lst) % 2 for lst in incident.values()):
+        raise InternalError("parity violation: extra edges must have even degree everywhere")
+    for lst in incident.values():
+        lst.sort(reverse=True)  # the lowest (neighbor, token) pops first
 
     walks = [list(w) for w in walks]
     want = sum(len(w) - 1 for w in walks) + tok
     first: dict[int, tuple[int, int]] = {}
+    unseen = set(incident)
     for i, walk in enumerate(walks):
-        for pos, v in enumerate(walk):
-            first.setdefault(v, (i, pos))
+        hit = unseen.intersection(walk)
+        for v in hit:
+            first[v] = (i, walk.index(v))
+        unseen -= hit
     # Every degree is even, so a circuit uses up its whole component and the
     # ascending scan reaches each component first at its lowest on-walk vertex.
     used: set[int] = set()
-    ptr = [0] * g.n
     excursions: dict[tuple[int, int], list[int]] = {}
-    for v in sorted(first):
-        circuit = _euler_circuit(incident, used, ptr, v)
+    for start in sorted(first):
+        stack = [start]
+        circuit: list[int] = []
+        # Hierholzer: follow unused tokens until stuck, then back up; the
+        # vertices leave the stack in reverse circuit order
+        while stack:
+            lst = incident[stack[-1]]
+            while lst and lst[-1][1] in used:
+                lst.pop()
+            if lst:
+                w, t = lst.pop()
+                used.add(t)
+                stack.append(w)
+            else:
+                circuit.append(stack.pop())
         if len(circuit) > 1:
-            excursions[first[v]] = circuit
+            circuit.reverse()
+            excursions[first[start]] = circuit
     if len(used) != tok:
         raise InternalError("disconnected union: extra edges share no vertex with any walk")
     # splice from the back so the recorded positions stay valid

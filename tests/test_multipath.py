@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipath_tsp.bench import BenchConfig, generate
 from multipath_tsp.decomposition import decompose, path_mass
@@ -9,6 +11,7 @@ from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import FractionalSolution
 from multipath_tsp.multipath import (
     SamplerState,
+    attachment_order,
     derandomize_choices,
     prepare,
     reconnect,
@@ -236,3 +239,31 @@ class TestDerandomized:
                 expected = sum(p.weight * len(p.arcs) for p in plan.decomposition.paths[i])
                 telescoped = sum(pm[i, v] for v in range(inst.graph.n))
                 assert telescoped == pytest.approx(expected, abs=1e-6)
+
+
+@st.composite
+def connected_graph_and_covered(draw):
+    n = draw(st.integers(1, 9))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    tree = set(edges)
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    edges += draw(st.permutations(chords))[:draw(st.integers(0, len(chords)))]
+    covered = {v for v in range(n) if draw(st.booleans())} or {draw(st.integers(0, n - 1))}
+    return Graph(n, edges), frozenset(covered)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(connected_graph_and_covered())
+def test_attachment_order_follows_its_rule(case):
+    # each step attaches the lowest pending vertex that has a covered neighbor
+    # at that moment, via its lowest covered neighbor
+    g, covered = case
+    steps = attachment_order(g, set(covered))
+    now = set(covered)
+    for v, w in steps:
+        ready = [u for u in range(g.n) if u not in now and any(x in now for x in g.adj[u])]
+        assert v == min(ready)
+        assert w == min(x for x in g.adj[v] if x in now)
+        now.add(v)
+    # every uncovered vertex is attached exactly once
+    assert sorted(v for v, _ in steps) == sorted(set(range(g.n)) - covered)

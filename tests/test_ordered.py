@@ -1,8 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multipath_tsp.errors import InternalError
-from multipath_tsp.graphs import Graph
+from multipath_tsp.graphs import Graph, shortest_path
 from multipath_tsp.instances import Instance, OrderedInstance, Solution, validate_solution
 from multipath_tsp.multipath import prepare, splice_excursions
 from multipath_tsp.ordered import (
@@ -114,6 +118,15 @@ class TestExtraction:
         assert sol.walks == ((0, 1, 4), (4, 8, 2, 3, 8, 5, 7, 6, 7, 9, 6), (6, 9, 0))
         assert sol.cost == 8 + 6
 
+    def test_excursion_at_first_occurrence_within_the_walk(self):
+        # the walk passes 1 twice; the excursion 1-4-1 goes in after the first pass
+        g = Graph(5, [[0, 1], [1, 2], [1, 3], [1, 4]])
+        extra = EdgeMultiset(g)
+        extra.add(1, 4, times=2)
+        sol = splice_excursions(g, [(0, 1, 2, 1, 3)], extra)
+        assert sol.walks == ((0, 1, 4, 1, 2, 1, 3),)
+        assert sol.cost == 6
+
     def test_edge_multiset_conserved(self):
         for inst in random_instances("ordered", 20, seed=57, n_max=10):
             plan = prepare(inst)
@@ -197,3 +210,73 @@ class TestValidateOrdered:
         bad = Solution(((0, 2), (1, 2), (2, 1, 0)), 5)
         ok, why = validate_ordered(triangle, bad)
         assert not ok
+
+
+def _edge_counts(g, walks) -> Counter:
+    return Counter(g.edge_id(u, v) for walk in walks for u, v in zip(walk, walk[1:]))
+
+
+@st.composite
+def splice_case(draw):
+    """A connected graph of at most 10 vertices, walks along its edges, and the
+    edge copies of doubled edges and closed walks that each start on a walk,
+    so every component of the copies touches a walk and every degree is even."""
+    n = draw(st.integers(2, 10))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    tree = set(edges)
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    edges += draw(st.permutations(chords))[:draw(st.integers(0, min(len(chords), 8)))]
+    g = Graph(n, edges)
+    walks = []
+    for _ in range(draw(st.integers(1, 3))):
+        walk = [draw(st.integers(0, n - 1))]
+        for _ in range(draw(st.integers(0, 5))):
+            walk.append(draw(st.sampled_from(g.adj[walk[-1]])))
+        walks.append(walk)
+    on_walk = sorted({v for walk in walks for v in walk})
+    copies = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.sampled_from(on_walk))
+        if draw(st.booleans()):
+            w = draw(st.sampled_from(g.adj[start]))
+            copies += [g.edge_id(start, w)] * 2
+        else:
+            # out along random edges, back along a shortest path: a closed walk
+            loop = [start]
+            for _ in range(draw(st.integers(1, 5))):
+                loop.append(draw(st.sampled_from(g.adj[loop[-1]])))
+            loop += shortest_path(g, loop[-1], start)[1:]
+            copies += [g.edge_id(u, v) for u, v in zip(loop, loop[1:])]
+    return g, walks, copies, draw(st.permutations(copies))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(splice_case())
+def test_splice_keeps_every_edge_and_endpoint(case):
+    g, walks, copies, shuffled = case
+    extra = EdgeMultiset(g)
+    for e in copies:
+        extra.add_edge(e)
+    sol = splice_excursions(g, walks, extra)
+    assert _edge_counts(g, sol.walks) == _edge_counts(g, walks) + Counter(copies)
+    assert [(w[0], w[-1]) for w in sol.walks] == [(w[0], w[-1]) for w in walks]
+    assert sol.cost == sum(len(w) - 1 for w in walks) + len(copies)
+    # the counts, not the order they were added in, fix the output
+    again = EdgeMultiset(g)
+    for e in shuffled:
+        again.add_edge(e)
+    assert splice_excursions(g, walks, again) == sol
+
+    odd = EdgeMultiset(g, dict(extra.counts))
+    odd.add_edge(0)  # one more copy makes both its ends odd
+    with pytest.raises(InternalError, match="parity"):
+        splice_excursions(g, walks, odd)
+
+    touched = {v for e in copies for v in g.edges[e]}
+    on_walk = {v for walk in walks for v in walk}
+    apart = [e for e, (u, v) in enumerate(g.edges) if not {u, v} & (touched | on_walk)]
+    if apart:
+        off = EdgeMultiset(g, dict(extra.counts))
+        off.add_edge(apart[0], 2)  # a component that shares no vertex with any walk
+        with pytest.raises(InternalError, match="disconnected"):
+            splice_excursions(g, walks, off)
