@@ -1,8 +1,9 @@
 """Randomized path sampling with doubled-edge reconnection, its
 conditional-expectation derandomization, and the one splice that turns
-walks plus an even edge multiset into walks. The splice's work follows the
-extra edges: it indexes only the vertices they touch and walks only their
-Euler circuits, so walk vertices without an extra edge cost next to nothing.
+walks plus a list of extra (u, v) edge copies, even at every vertex, into
+walks. The splice's work follows the extra edges: it indexes only the
+vertices they touch and walks only their Euler circuits, so walk vertices
+without an extra edge cost next to nothing.
 
 The pipeline: solve the LP, decompose each commodity's flow, pick one path
 per split commodity (probability = path weight), then attach every vertex
@@ -26,7 +27,6 @@ from .errors import InternalError
 from .graphs import Graph, all_pairs_distances
 from .instances import AnyInstance, Instance, Solution, validate_solution
 from .lp import EPS_OBJ, FractionalSolution, solve_lp
-from .parity import EdgeMultiset
 
 
 @dataclass
@@ -139,9 +139,10 @@ def attachment_order(graph: Graph, covered: set[int]) -> list[tuple[int, int]]:
     return steps
 
 
-def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
-    """Splice an edge multiset with even degree at every vertex into the
-    walks as closed excursions, one per connected component of `extra`.
+def splice_excursions(walks, extra) -> Solution:
+    """Splice the (u, v) edge copies in `extra`, in any order and either
+    orientation, with even degree at every vertex, into the walks as closed
+    excursions, one per connected component of `extra`.
 
     Each component is traversed as an Eulerian circuit (Hierholzer, lowest
     neighbor first) anchored at its lowest vertex that lies on a walk, and
@@ -150,25 +151,22 @@ def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
     walk edge and every extra edge exactly once; its cost is checked to be
     the walk edges plus one per extra edge copy. The work follows the extra
     edges: only the vertices they touch are indexed, and a circuit is walked
-    only from a touched vertex that lies on a walk.
+    only from a touched vertex that lies on a walk. That the copies are edges
+    of the graph is left to the `validate_solution` every solver runs after.
     """
     # one token per edge copy, listed at both ends as (neighbor, token),
     # keyed by the touched vertices only
     incident: dict[int, list[tuple[int, int]]] = {}
-    tok = 0
-    for e, count in extra.items():
-        u, v = g.edges[e]
-        for _ in range(count):
-            incident.setdefault(u, []).append((v, tok))
-            incident.setdefault(v, []).append((u, tok))
-            tok += 1
+    for tok, (u, v) in enumerate(extra):
+        incident.setdefault(u, []).append((v, tok))
+        incident.setdefault(v, []).append((u, tok))
     if any(len(lst) % 2 for lst in incident.values()):
         raise InternalError("parity violation: extra edges must have even degree everywhere")
     for lst in incident.values():
         lst.sort(reverse=True)  # the lowest (neighbor, token) pops first
 
     walks = [list(w) for w in walks]
-    want = sum(len(w) - 1 for w in walks) + tok
+    want = sum(len(w) - 1 for w in walks) + len(extra)
     first: dict[int, tuple[int, int]] = {}
     unseen = set(incident)
     for i, walk in enumerate(walks):
@@ -198,7 +196,7 @@ def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
         if len(circuit) > 1:
             circuit.reverse()
             excursions[first[start]] = circuit
-    if len(used) != tok:
+    if len(used) != len(extra):
         raise InternalError("disconnected union: extra edges share no vertex with any walk")
     # splice from the back so the recorded positions stay valid
     for i, pos in sorted(excursions, reverse=True):
@@ -212,20 +210,23 @@ def splice_excursions(g: Graph, walks, extra: EdgeMultiset) -> Solution:
 def reconnect(inst: AnyInstance, state: SamplerState) -> Solution:
     """Attach every uncovered vertex by a doubled edge (cost two each), in
     `attachment_order`, and splice the doubled edges into the walks."""
-    extra = EdgeMultiset(inst.graph)
-    for v, w in attachment_order(inst.graph, state.covered):
-        extra.add(v, w, 2)
-    return splice_excursions(inst.graph, state.walks, extra)
+    steps = attachment_order(inst.graph, state.covered)
+    return splice_excursions(state.walks, steps + steps)
+
+
+def _checked(inst: AnyInstance, sol: Solution, what: str) -> Solution:
+    """`sol` if it passes `validate_solution`, else an `InternalError`."""
+    ok, why = validate_solution(inst, sol)
+    if not ok:
+        raise InternalError(f"{what} produced an invalid solution: {why}")
+    return sol
 
 
 def _finish(plan: SolverPlan, state: SamplerState) -> tuple[Solution, CostReport]:
     inst = plan.instance
     sampling = sum(len(w) - 1 for w in state.walks)
     reconnection = 2 * (inst.graph.n - len(state.covered))
-    sol = reconnect(inst, state)
-    ok, why = validate_solution(inst, sol)
-    if not ok:
-        raise InternalError(f"solver produced an invalid solution: {why}")
+    sol = _checked(inst, reconnect(inst, state), "solver")
     return sol, make_report(sampling, reconnection, 0, plan.lp.objective)
 
 

@@ -5,8 +5,9 @@ Each uncovered vertex costs one edge here instead of two, and a minimum join
 fixes the odd degrees. Every terminal starts one walk and ends another, so
 the sampled walks add even degree everywhere and the join needs only the odd
 set of the reconnection edges. Reconnections plus join are then even, and
-`multipath.splice_excursions` splices them into the walks as closed
-excursions, which keeps every walk's endpoints and so the terminal order.
+`multipath.splice_excursions` splices them, as one list of (u, v) edge
+copies, into the walks as closed excursions, which keeps every walk's
+endpoints and so the terminal order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .errors import InternalError
 from .instances import OrderedInstance, Solution, validate_solution
 from .lp import EPS_OBJ
 from .multipath import CostReport, SolverPlan, attachment_order, make_report, prepare, sample_paths, splice_excursions
-from .parity import EdgeMultiset, TJoin, min_tjoin, odd_vertices
+from .parity import TJoin, min_tjoin, odd_vertices
 
 # The ordered solver runs on the same plan and splice as the others; the
 # names stay because perfbench/workloads.py calls the first and
@@ -38,13 +39,8 @@ def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport
     g = inst.graph
     state = sample_paths(plan.decomposition, seed)
     steps = attachment_order(g, state.covered)
-    extra = EdgeMultiset(g)
-    for v, w in steps:
-        extra.add(v, w)
-    join = min_tjoin(g, odd_vertices(extra), plan.dists)
-    for e in join.edges:
-        extra.add_edge(e)
-    sol = splice_excursions(g, state.walks, extra)
+    join = min_tjoin(g, odd_vertices(steps), plan.dists)
+    sol = splice_excursions(state.walks, steps + [g.edges[e] for e in join.edges])
     sampling = sum(len(w) - 1 for w in state.walks)
     report = make_report(sampling, len(steps), join.cost, plan.lp.objective)
     if join.cost > plan.lp.objective / 2.0 + EPS_OBJ:

@@ -1,5 +1,8 @@
 """Odd-degree sets and minimum T-joins in unit-cost graphs.
 
+Extra edges are plain lists of (u, v) copies: `odd_vertices` toggles both
+ends of each copy, so it costs the edges, not the vertices.
+
 The minimum join is computed the classical way (Edmonds and Johnson, 1973):
 exact minimum-weight perfect matching of the odd set T under BFS distances,
 then the symmetric difference of the matched shortest paths. The matching is
@@ -17,7 +20,7 @@ subsets is provided for verification on small graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 from scipy.optimize import linear_sum_assignment
@@ -27,46 +30,23 @@ from .graphs import Graph, all_pairs_distances, descend
 MATCH_DP_MAX = 12  # most odd-cycle vertices the bitmask DP matches; the blossom takes over above it
 
 
-@dataclass
-class EdgeMultiset:
-    """Nonnegative integer counts per base edge."""
-
-    graph: Graph
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def add(self, u: int, v: int, times: int = 1) -> None:
-        self.add_edge(self.graph.edge_id(u, v), times)
-
-    def add_edge(self, e: int, times: int = 1) -> None:
-        if times:
-            self.counts[e] = self.counts.get(e, 0) + times
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.graph.n
-        for e, c in self.counts.items():
-            a, b = self.graph.edges[e]
-            deg[a] += c
-            deg[b] += c
-        return deg
-
-    def items(self):
-        return sorted(self.counts.items())
-
-
 @dataclass(frozen=True)
 class TJoin:
-    """Edge set whose odd-degree vertices are exactly `odd`."""
+    """Edge ids of a join: its odd-degree vertices are the target set."""
 
     edges: frozenset[int]
-    odd: frozenset[int]
 
     @property
     def cost(self) -> int:
         return len(self.edges)
 
 
-def odd_vertices(m: EdgeMultiset) -> frozenset[int]:
-    return frozenset(v for v, d in enumerate(m.degrees()) if d % 2 == 1)
+def odd_vertices(edges) -> frozenset[int]:
+    """Vertices of odd degree in a list of (u, v) edge copies."""
+    odd: set[int] = set()
+    for u, v in edges:
+        odd ^= {u, v}
+    return frozenset(odd)
 
 
 def _pair_cost(weight, memo: dict[int, tuple[int, int]], mask: int) -> int:
@@ -187,7 +167,7 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
     if len(odd) % 2 == 1:
         raise ValueError("odd cardinality: the target set of a join must be even")
     if not odd:
-        return TJoin(frozenset(), frozenset())
+        return TJoin(frozenset())
     if odd[0] < 0 or odd[-1] >= g.n:
         raise ValueError(f"vertex outside 0..{g.n - 1}: the target set of a join must lie in the graph")
     if dists is None:
@@ -208,7 +188,7 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
         walk = descend(g, dists[b], a)
         for u, v in zip(walk, walk[1:]):
             edges.symmetric_difference_update({g.edge_id(u, v)})
-    return TJoin(frozenset(edges), frozenset(odd))
+    return TJoin(frozenset(edges))
 
 
 def tjoin_brute_force(g: Graph, odd) -> tuple[int, frozenset[int]]:

@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InstanceError, InternalError
+from .errors import InstanceError
 from .graphs import Graph, shortest_path
-from .instances import Instance, Solution, validate_solution
-from .multipath import SolverPlan, prepare, run_derandomized, splice_excursions
-from .parity import EdgeMultiset
+from .instances import Instance, Solution
+from .multipath import SolverPlan, _checked, prepare, run_derandomized, splice_excursions
 
 
 @dataclass(frozen=True)
@@ -30,28 +29,21 @@ class CombinerReport:
     distance_sum: int
 
 
-def _doubled_forest(g: Graph, roots: list[int]) -> EdgeMultiset:
+def _doubled_forest(g: Graph, roots: list[int]) -> list[tuple[int, int]]:
     """Every BFS tree edge of a multi-source BFS from `roots`, taken twice."""
     seen = [False] * g.n
     for r in roots:
         seen[r] = True
-    forest = EdgeMultiset(g)
+    forest = []
     queue = deque(roots)
     while queue:
         u = queue.popleft()
         for w in g.adj[u]:
             if not seen[w]:
                 seen[w] = True
-                forest.add(u, w, 2)
+                forest += [(u, w), (u, w)]
                 queue.append(w)
     return forest
-
-
-def _checked(inst: Instance, sol: Solution, what: str) -> Solution:
-    ok, why = validate_solution(inst, sol)
-    if not ok:
-        raise InternalError(f"{what} produced an invalid solution: {why}")
-    return sol
 
 
 def solve_vrp_forest(inst: Instance) -> Solution:
@@ -63,7 +55,7 @@ def solve_vrp_forest(inst: Instance) -> Solution:
         if s != t:
             raise InstanceError("not-vrp", f"commodity ({s},{t}) has distinct endpoints")
     depots = [s for s, _ in inst.commodities]
-    sol = splice_excursions(inst.graph, [[d] for d in depots], _doubled_forest(inst.graph, depots))
+    sol = splice_excursions([[d] for d in depots], _doubled_forest(inst.graph, depots))
     return _checked(inst, sol, "forest baseline")
 
 
@@ -81,12 +73,12 @@ def run_combiner(plan: SolverPlan) -> tuple[Solution, CombinerReport]:
     sol1, _ = run_derandomized(plan)
     forest = _doubled_forest(g, list(dict.fromkeys(s for s, _ in inst.commodities)))
     routes = [[s] if s == t else shortest_path(g, s, t) for s, t in inst.commodities]
-    sol2 = _checked(inst, splice_excursions(g, routes, forest), "depot branch")
+    sol2 = _checked(inst, splice_excursions(routes, forest), "depot branch")
     report = CombinerReport(
         winner="multipath" if sol1.cost <= sol2.cost else "vrp",
         cost_multipath=sol1.cost,
         cost_vrp_branch=sol2.cost,
-        vrp_base_cost=sum(forest.counts.values()),
+        vrp_base_cost=len(forest),
         distance_sum=sum(len(r) - 1 for r in routes),
     )
     return (sol1 if sol1.cost <= sol2.cost else sol2), report

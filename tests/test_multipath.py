@@ -70,6 +70,23 @@ class TestSampling:
         assert state.chosen[1] is None
         assert state.walks[1] == [1]
 
+    def test_trial_mean_matches_opening_potential(self):
+        # phi0 is the expected cost of one trial when path j is sampled with
+        # its weight, so the mean over 400 seeds must sit within 4 standard
+        # errors of it on every instance with a split commodity
+        cfg = BenchConfig(mode="multipath", n_min=10, n_max=30, k_min=3, k_max=8, extra_edges=30, seed=9)
+        split = 0
+        for inst_seed in range(7000, 7040):
+            plan = prepare(generate(cfg, inst_seed))
+            if all(len(paths) <= 1 for paths in plan.decomposition.paths):
+                continue
+            split += 1
+            phi0 = derandomize_choices(plan.decomposition, plan.mass)[1][0]
+            costs = np.array([run_trial(plan, seed)[1].total for seed in range(400)])
+            se = costs.std(ddof=1) / np.sqrt(len(costs))
+            assert abs(costs.mean() - phi0) <= 4 * se + 1e-9, (inst_seed, costs.mean(), phi0, se)
+        assert split >= 10
+
     def test_deterministic_per_seed(self, fig1):
         plan = prepare(fig1)
         a = sample_paths(plan.decomposition, 123)

@@ -16,7 +16,6 @@ from multipath_tsp.ordered import (
     solve_ordered,
     validate_ordered,
 )
-from multipath_tsp.parity import EdgeMultiset
 
 from conftest import random_instances
 
@@ -87,32 +86,23 @@ class TestSolveOrdered:
 
 class TestExtraction:
     def test_no_extras_returns_paths(self, triangle):
-        extra = EdgeMultiset(triangle.graph)
         assert extract_ordered_walks is splice_excursions
-        sol = splice_excursions(triangle.graph, [(0, 1), (1, 2), (2, 0)], extra)
+        sol = splice_excursions([(0, 1), (1, 2), (2, 0)], [])
         assert sol.walks == ((0, 1), (1, 2), (2, 0))
         assert sol.cost == 3
 
     def test_pendant_excursion(self):
         # triangle plus a pendant vertex: reconnection edge and its join twin
         # splice as an out-and-back excursion at the first shared vertex
-        g = Graph(4, [[0, 1], [1, 2], [0, 2], [0, 3]])
-        extra = EdgeMultiset(g)
-        extra.add(3, 0, times=2)
-        sol = splice_excursions(g, [(0, 1), (1, 2), (2, 0)], extra)
+        sol = splice_excursions([(0, 1), (1, 2), (2, 0)], [(3, 0), (3, 0)])
         assert sol.walks == ((0, 3, 0, 1), (1, 2), (2, 0))
         assert sol.cost == 5
 
     def test_two_components_splice_into_one_walk(self):
         # walks 0-1-4 | 4-8-5-7-6 | 6-9-0; vertices 2 and 3 lie on no walk
-        g = Graph(10, [[0, 1], [1, 4], [4, 8], [5, 8], [5, 7], [6, 7], [6, 9], [0, 9],
-                       [2, 3], [3, 8], [2, 8], [7, 9]])
-        extra = EdgeMultiset(g)
-        for u, v in [(2, 3), (3, 8), (2, 8)]:  # lowest vertex 2 is off every walk
-            extra.add(u, v)
-        for u, v in [(6, 7), (7, 9), (6, 9)]:  # on-walk 7 comes first, but 6 is lower
-            extra.add(u, v)
-        sol = splice_excursions(g, [(0, 1, 4), (4, 8, 5, 7, 6), (6, 9, 0)], extra)
+        extra = [(2, 3), (3, 8), (2, 8)]  # lowest vertex 2 is off every walk
+        extra += [(6, 7), (7, 9), (6, 9)]  # on-walk 7 comes first, but 6 is lower
+        sol = splice_excursions([(0, 1, 4), (4, 8, 5, 7, 6), (6, 9, 0)], extra)
         # component {2, 3, 8} anchors at 8 (walk 1, position 1): 8-2-3-8, lowest neighbor first;
         # component {6, 7, 9} anchors at 6, whose first walk is 1 (position 4): 6-7-9-6
         assert sol.walks == ((0, 1, 4), (4, 8, 2, 3, 8, 5, 7, 6, 7, 9, 6), (6, 9, 0))
@@ -120,10 +110,7 @@ class TestExtraction:
 
     def test_excursion_at_first_occurrence_within_the_walk(self):
         # the walk passes 1 twice; the excursion 1-4-1 goes in after the first pass
-        g = Graph(5, [[0, 1], [1, 2], [1, 3], [1, 4]])
-        extra = EdgeMultiset(g)
-        extra.add(1, 4, times=2)
-        sol = splice_excursions(g, [(0, 1, 2, 1, 3)], extra)
+        sol = splice_excursions([(0, 1, 2, 1, 3)], [(1, 4), (1, 4)])
         assert sol.walks == ((0, 1, 4, 1, 2, 1, 3),)
         assert sol.cost == 6
 
@@ -145,18 +132,15 @@ class TestExtraction:
             plan = prepare(inst)
             g = inst.graph
             state = sample_paths(plan.decomposition, 2)
-            extra = EdgeMultiset(g)
-            for v, w in attachment_order(g, state.covered):
-                extra.add(v, w)
+            extra = attachment_order(g, state.covered)
             join = min_tjoin(g, odd_vertices(extra), plan.dists)
-            for e in join.edges:
-                extra.add_edge(e)
-            sol = splice_excursions(g, [tuple(w) for w in state.walks], extra)
+            extra += [g.edges[e] for e in join.edges]
+            sol = splice_excursions([tuple(w) for w in state.walks], extra)
             produced = Counter()
             for walk in sol.walks:
                 for u, v in zip(walk, walk[1:]):
                     produced[g.edge_id(u, v)] += 1
-            expected = Counter(dict(extra.items()))
+            expected = Counter(g.edge_id(u, v) for u, v in extra)
             for walk in state.walks:
                 for u, v in zip(walk, walk[1:]):
                     expected[g.edge_id(u, v)] += 1
@@ -173,28 +157,17 @@ class TestExtraction:
             g = inst.graph
             for seed in range(3):
                 state = sample_paths(plan.decomposition, seed)
-                extra = EdgeMultiset(g)
-                union = EdgeMultiset(g)
-                for v, w in attachment_order(g, state.covered):
-                    extra.add(v, w)
-                    union.add(v, w)
-                for walk in state.walks:
-                    for a, b in zip(walk, walk[1:]):
-                        union.add(a, b)
+                extra = attachment_order(g, state.covered)
+                union = extra + [(a, b) for walk in state.walks for a, b in zip(walk, walk[1:])]
                 assert odd_vertices(extra) == odd_vertices(union)
 
-    def test_parity_violation_detected(self, triangle):
-        extra = EdgeMultiset(triangle.graph)
-        extra.add(0, 1)  # odd degree at 0 and 1
+    def test_parity_violation_detected(self):
         with pytest.raises(InternalError, match="parity"):
-            splice_excursions(triangle.graph, [(0, 1), (1, 2), (2, 0)], extra)
+            splice_excursions([(0, 1), (1, 2), (2, 0)], [(0, 1)])  # odd degree at 0 and 1
 
     def test_disconnected_union_detected(self):
-        g = Graph(5, [[0, 1], [1, 2], [0, 2], [3, 4], [2, 3]])
-        extra = EdgeMultiset(g)
-        extra.add(3, 4, times=2)  # touches no sampled walk
         with pytest.raises(InternalError, match="disconnected"):
-            splice_excursions(g, [(0, 1), (1, 2), (2, 0)], extra)
+            splice_excursions([(0, 1), (1, 2), (2, 0)], [(3, 4), (3, 4)])  # touches no sampled walk
 
 
 class TestValidateOrdered:
@@ -219,8 +192,9 @@ def _edge_counts(g, walks) -> Counter:
 @st.composite
 def splice_case(draw):
     """A connected graph of at most 10 vertices, walks along its edges, and the
-    edge copies of doubled edges and closed walks that each start on a walk,
-    so every component of the copies touches a walk and every degree is even."""
+    (u, v) copies of doubled edges and closed walks that each start on a walk,
+    so every component of the copies touches a walk and every degree is even;
+    then the copies shuffled, each flipped to (v, u)."""
     n = draw(st.integers(2, 10))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     tree = set(edges)
@@ -239,44 +213,35 @@ def splice_case(draw):
         start = draw(st.sampled_from(on_walk))
         if draw(st.booleans()):
             w = draw(st.sampled_from(g.adj[start]))
-            copies += [g.edge_id(start, w)] * 2
+            copies += [(start, w)] * 2
         else:
             # out along random edges, back along a shortest path: a closed walk
             loop = [start]
             for _ in range(draw(st.integers(1, 5))):
                 loop.append(draw(st.sampled_from(g.adj[loop[-1]])))
             loop += shortest_path(g, loop[-1], start)[1:]
-            copies += [g.edge_id(u, v) for u, v in zip(loop, loop[1:])]
-    return g, walks, copies, draw(st.permutations(copies))
+            copies += list(zip(loop, loop[1:]))
+    return g, walks, copies, [(v, u) for u, v in draw(st.permutations(copies))]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(splice_case())
 def test_splice_keeps_every_edge_and_endpoint(case):
-    g, walks, copies, shuffled = case
-    extra = EdgeMultiset(g)
-    for e in copies:
-        extra.add_edge(e)
-    sol = splice_excursions(g, walks, extra)
-    assert _edge_counts(g, sol.walks) == _edge_counts(g, walks) + Counter(copies)
+    g, walks, copies, flipped = case
+    sol = splice_excursions(walks, copies)
+    assert _edge_counts(g, sol.walks) == _edge_counts(g, walks) + Counter(g.edge_id(u, v) for u, v in copies)
     assert [(w[0], w[-1]) for w in sol.walks] == [(w[0], w[-1]) for w in walks]
     assert sol.cost == sum(len(w) - 1 for w in walks) + len(copies)
-    # the counts, not the order they were added in, fix the output
-    again = EdgeMultiset(g)
-    for e in shuffled:
-        again.add_edge(e)
-    assert splice_excursions(g, walks, again) == sol
+    # neither the order of the copies nor their orientation changes the output
+    assert splice_excursions(walks, flipped) == sol
 
-    odd = EdgeMultiset(g, dict(extra.counts))
-    odd.add_edge(0)  # one more copy makes both its ends odd
     with pytest.raises(InternalError, match="parity"):
-        splice_excursions(g, walks, odd)
+        splice_excursions(walks, copies + [g.edges[0]])  # one more copy makes both its ends odd
 
-    touched = {v for e in copies for v in g.edges[e]}
+    touched = {v for e in copies for v in e}
     on_walk = {v for walk in walks for v in walk}
-    apart = [e for e, (u, v) in enumerate(g.edges) if not {u, v} & (touched | on_walk)]
+    apart = [e for e in g.edges if not set(e) & (touched | on_walk)]
     if apart:
-        off = EdgeMultiset(g, dict(extra.counts))
-        off.add_edge(apart[0], 2)  # a component that shares no vertex with any walk
+        # a component that shares no vertex with any walk
         with pytest.raises(InternalError, match="disconnected"):
-            splice_excursions(g, walks, off)
+            splice_excursions(walks, copies + [apart[0]] * 2)
