@@ -42,9 +42,6 @@ class Decomposition:
     paths: tuple[tuple[FlowWalk, ...], ...]   # per commodity
     cycles: tuple[tuple[FlowWalk, ...], ...]  # per commodity
 
-    def path_weight_sum(self, i: int) -> float:
-        return sum(p.weight for p in self.paths[i])
-
 
 def _zero_small(residual: np.ndarray) -> None:
     residual[residual < EPS_DEC] = 0.0

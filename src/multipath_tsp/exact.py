@@ -1,4 +1,4 @@
-"""Exact optimum for small instances, and exhaustive cut verification.
+"""Exact optimum for small instances.
 
 The optimum is found by assigning every non-terminal vertex to exactly one
 commodity and charging each commodity the shortest walk from its source to
@@ -40,7 +40,6 @@ import numpy as np
 from .errors import OracleLimitError
 from .graphs import all_pairs_distances, descend
 from .instances import AnyInstance, Solution
-from .lp import EPS_LP, FractionalSolution
 
 INF = float("inf")
 PAIR_CHUNK = 1 << 15  # (mask, submask) pairs per chunk of a min-plus step; bounds the temporaries
@@ -210,32 +209,3 @@ def reconstruct_walks(inst: AnyInstance, result: ExactResult) -> Solution:
         walks.append(tuple(walk))
         cost += len(walk) - 1
     return Solution(tuple(walks), cost)
-
-
-def brute_force_cut_check(
-    inst: AnyInstance, sol: FractionalSolution, eps: float = EPS_LP
-) -> tuple[bool, tuple[int, int, frozenset[int]] | None]:
-    """Verify every cut constraint by enumerating all vertex subsets.
-
-    Returns (True, None) if for each commodity i, each vertex subset U
-    avoiding the sink, and each v in U, the flow leaving U is at least the
-    coverage z[i,v] minus eps. Otherwise returns the first witness (i, v, U).
-    """
-    n = inst.graph.n
-    if n > 16:
-        raise OracleLimitError("instance too large: cut enumeration is limited to 16 vertices")
-    arcs = sol.digraph.arcs
-    for i, (_, t) in enumerate(inst.commodities):
-        flows = sol.flows[i]
-        cover = sol.cover[i]
-        candidates = [v for v in range(n) if v != t and cover[v] > eps]
-        if not candidates:
-            continue
-        others = [v for v in range(n) if v != t]
-        for bits in range(1, 1 << len(others)):
-            members = frozenset(others[j] for j in range(len(others)) if bits >> j & 1)
-            crossing = sum(flows[a] for a, (u, w) in enumerate(arcs) if u in members and w not in members)
-            for v in candidates:
-                if v in members and crossing < cover[v] - eps:
-                    return False, (i, v, members)
-    return True, None

@@ -127,10 +127,9 @@ class BidirectedGraph:
     The antiparallel pair is also the residual network ``min_cut`` augments on.
     """
 
-    __slots__ = ("base", "arcs", "out_arcs", "in_arcs")
+    __slots__ = ("arcs", "out_arcs", "in_arcs")
 
     def __init__(self, base: Graph):
-        self.base = base
         arcs: list[tuple[int, int]] = []
         out_lists: list[list[int]] = [[] for _ in range(base.n)]
         in_lists: list[list[int]] = [[] for _ in range(base.n)]
@@ -149,11 +148,6 @@ class BidirectedGraph:
     @property
     def num_arcs(self) -> int:
         return len(self.arcs)
-
-    def arc_id(self, u: int, v: int) -> int:
-        """Index of arc (u,v)."""
-        e = self.base.edge_id(u, v)
-        return 2 * e if self.base.edges[e] == (u, v) else 2 * e + 1
 
 
 class CapacitatedNetwork:

@@ -29,16 +29,6 @@ from .instances import AnyInstance, Instance, Solution, validate_solution
 from .lp import EPS_OBJ, FractionalSolution, solve_lp
 
 
-@dataclass
-class SamplerState:
-    """Chosen path index per commodity (None for depot commodities), the
-    sampled walks, and the vertices they cover."""
-
-    chosen: tuple[int | None, ...]
-    walks: list[list[int]]
-    covered: set[int]
-
-
 @dataclass(frozen=True)
 class CostReport:
     sampling: int
@@ -85,17 +75,16 @@ def prepare(inst: AnyInstance) -> SolverPlan:
     return SolverPlan(inst, lp_sol, decompose(inst, lp_sol))
 
 
-def _state(dec: Decomposition, chosen: list[int | None]) -> SamplerState:
+def chosen_walks(dec: Decomposition, chosen: list[int | None]) -> list[list[int]]:
     """Walks for one chosen path index per commodity; None keeps a singleton."""
-    walks = [
+    return [
         [s] if j is None else list(dec.paths[i][j].vertices)
         for i, ((s, _), j) in enumerate(zip(dec.instance.commodities, chosen))
     ]
-    return SamplerState(tuple(chosen), walks, {v for walk in walks for v in walk})
 
 
-def sample_paths(dec: Decomposition, seed: int) -> SamplerState:
-    """Pick one path per split commodity; depot commodities keep a singleton.
+def sample_paths(dec: Decomposition, seed: int) -> list[int | None]:
+    """Pick one path index per commodity; depot commodities get None.
 
     The unit interval is split into consecutive pieces sized by the path
     weights and a uniform draw selects the piece, so path j is chosen with
@@ -116,7 +105,7 @@ def sample_paths(dec: Decomposition, seed: int) -> SamplerState:
                 idx = j
                 break
         chosen.append(idx)
-    return _state(dec, chosen)
+    return chosen
 
 
 def attachment_order(graph: Graph, covered: set[int]) -> list[tuple[int, int]]:
@@ -207,11 +196,11 @@ def splice_excursions(walks, extra) -> Solution:
     return Solution(tuple(tuple(w) for w in walks), cost)
 
 
-def reconnect(inst: AnyInstance, state: SamplerState) -> Solution:
-    """Attach every uncovered vertex by a doubled edge (cost two each), in
-    `attachment_order`, and splice the doubled edges into the walks."""
-    steps = attachment_order(inst.graph, state.covered)
-    return splice_excursions(state.walks, steps + steps)
+def reconnect(inst: AnyInstance, walks: list[list[int]]) -> Solution:
+    """Attach every vertex off the walks by a doubled edge (cost two each),
+    in `attachment_order`, and splice the doubled edges into the walks."""
+    steps = attachment_order(inst.graph, {v for walk in walks for v in walk})
+    return splice_excursions(walks, steps + steps)
 
 
 def _checked(inst: AnyInstance, sol: Solution, what: str) -> Solution:
@@ -222,18 +211,18 @@ def _checked(inst: AnyInstance, sol: Solution, what: str) -> Solution:
     return sol
 
 
-def _finish(plan: SolverPlan, state: SamplerState) -> tuple[Solution, CostReport]:
+def _finish(plan: SolverPlan, chosen: list[int | None]) -> tuple[Solution, CostReport]:
     inst = plan.instance
-    sampling = sum(len(w) - 1 for w in state.walks)
-    reconnection = 2 * (inst.graph.n - len(state.covered))
-    sol = _checked(inst, reconnect(inst, state), "solver")
+    walks = chosen_walks(plan.decomposition, chosen)
+    sampling = sum(len(w) - 1 for w in walks)
+    reconnection = 2 * (inst.graph.n - len({v for walk in walks for v in walk}))
+    sol = _checked(inst, reconnect(inst, walks), "solver")
     return sol, make_report(sampling, reconnection, 0, plan.lp.objective)
 
 
 def run_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport]:
     """One sampling + reconnection pass on a prepared plan."""
-    state = sample_paths(plan.decomposition, seed)
-    return _finish(plan, state)
+    return _finish(plan, sample_paths(plan.decomposition, seed))
 
 
 def solve_randomized(inst: Instance, seed: int) -> tuple[Solution, CostReport]:
@@ -303,7 +292,7 @@ def run_derandomized(plan: SolverPlan) -> tuple[Solution, CostReport]:
     """Deterministic variant. Each call certifies, within EPS_OBJ, that its
     cost is at most phi0 (the opening potential) and phi0 at most 2 * LP."""
     choices, trace = derandomize_choices(plan.decomposition, plan.mass)
-    sol, report = _finish(plan, _state(plan.decomposition, choices))
+    sol, report = _finish(plan, choices)
     phi0, twice_lp = trace[0], 2.0 * plan.lp.objective
     if report.total > phi0 + EPS_OBJ or max(report.total, phi0) > twice_lp + EPS_OBJ:
         raise InternalError(

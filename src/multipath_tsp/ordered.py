@@ -15,7 +15,9 @@ from __future__ import annotations
 from .errors import InternalError
 from .instances import OrderedInstance, Solution, validate_solution
 from .lp import EPS_OBJ
-from .multipath import CostReport, SolverPlan, attachment_order, make_report, prepare, sample_paths, splice_excursions
+from .multipath import (
+    CostReport, SolverPlan, attachment_order, chosen_walks, make_report, prepare, sample_paths, splice_excursions,
+)
 from .parity import TJoin, min_tjoin, odd_vertices
 
 # The ordered solver runs on the same plan and splice as the others; the
@@ -37,11 +39,11 @@ def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport
     OrderedInstance."""
     inst = plan.instance
     g = inst.graph
-    state = sample_paths(plan.decomposition, seed)
-    steps = attachment_order(g, state.covered)
+    walks = chosen_walks(plan.decomposition, sample_paths(plan.decomposition, seed))
+    steps = attachment_order(g, {v for walk in walks for v in walk})
     join = min_tjoin(g, odd_vertices(steps), plan.dists)
-    sol = splice_excursions(state.walks, steps + [g.edges[e] for e in join.edges])
-    sampling = sum(len(w) - 1 for w in state.walks)
+    sol = splice_excursions(walks, steps + [g.edges[e] for e in join.edges])
+    sampling = sum(len(w) - 1 for w in walks)
     report = make_report(sampling, len(steps), join.cost, plan.lp.objective)
     if join.cost > plan.lp.objective / 2.0 + EPS_OBJ:
         raise InternalError("parity join exceeded half the LP value")

@@ -13,8 +13,7 @@ cheaper alternate half, the vertices of odd cycles matched by `min_weight_pairs`
 a DP over bitmasks whose states grow like 2^k, so only up to `MATCH_DP_MAX`
 vertices). A repair that meets the bound is optimal. Sets the bound cannot
 certify, or whose odd cycles hold more than `MATCH_DP_MAX` vertices, go to
-networkx's blossom algorithm. A bitmask enumeration oracle over all edge
-subsets is provided for verification on small graphs.
+networkx's blossom algorithm, which is imported only when a set reaches it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 from scipy.optimize import linear_sum_assignment
 
 from .graphs import Graph, all_pairs_distances, descend
@@ -177,6 +175,8 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
     if pairs is not None:
         matching = [(odd[i], odd[j]) for i, j in pairs]
     else:
+        import networkx as nx
+
         complete = nx.Graph()
         complete.add_nodes_from(odd)
         for idx, a in enumerate(odd):
@@ -189,35 +189,3 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
         for u, v in zip(walk, walk[1:]):
             edges.symmetric_difference_update({g.edge_id(u, v)})
     return TJoin(frozenset(edges))
-
-
-def tjoin_brute_force(g: Graph, odd) -> tuple[int, frozenset[int]]:
-    """Exhaustive minimum join by Gray-code enumeration of all edge subsets."""
-    m = g.num_edges
-    if m > 22:
-        raise ValueError("brute-force join oracle is limited to 22 edges")
-    odd = frozenset(odd)
-    target = 0
-    for v in odd:
-        target ^= 1 << v
-    vmask = [(1 << u) ^ (1 << v) for u, v in g.edges]
-    best_size = None
-    best_subset = 0
-    parity = 0
-    subset = 0
-    for code in range(1 << m):
-        gray = code ^ (code >> 1)
-        if code:
-            bit = (gray ^ prev_gray).bit_length() - 1
-            parity ^= vmask[bit]
-            subset = gray
-        prev_gray = gray
-        if parity == target:
-            size = bin(subset).count("1")
-            if best_size is None or size < best_size:
-                best_size = size
-                best_subset = subset
-    if best_size is None:
-        raise ValueError("no join exists for the given target set")
-    return best_size, frozenset(e for e in range(m) if best_subset >> e & 1)
-

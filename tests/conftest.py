@@ -2,10 +2,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from multipath_tsp.bench import BenchConfig, generate
 from multipath_tsp.graphs import BidirectedGraph, Graph
-from multipath_tsp.instances import Instance, Solution
+from multipath_tsp.instances import Instance, OrderedInstance, Solution
 from multipath_tsp.lp import FractionalSolution
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -59,7 +60,7 @@ def fig1_lp(fig1) -> FractionalSolution:
     flows = np.zeros((2, dig.num_arcs))
     for i, arcflows in FIG1_FLOWS.items():
         for (u, v), val in arcflows.items():
-            flows[i, dig.arc_id(u, v)] = val
+            flows[i, dig.arcs.index((u, v))] = val
     cover = np.zeros((2, 10))
     for v in range(10):
         if v in fig1.sinks:
@@ -82,7 +83,7 @@ def detached_cycle_case() -> tuple[Instance, FractionalSolution]:
     dig = BidirectedGraph(inst.graph)
     flows = np.zeros((1, dig.num_arcs))
     for u, v in [(0, 1), (2, 3), (3, 4), (4, 2)]:
-        flows[0, dig.arc_id(u, v)] = 1.0
+        flows[0, dig.arcs.index((u, v))] = 1.0
     cover = np.zeros((1, 5))
     for v in (0, 2, 3, 4):
         cover[0, v] = 1.0
@@ -96,3 +97,45 @@ def random_instances(mode: str, count: int, seed: int, **overrides):
     defaults.update(overrides)
     cfg = BenchConfig(mode=mode, seed=seed, **defaults)
     return [generate(cfg, seed * 7919 + i) for i in range(count)]
+
+
+@st.composite
+def shaped_graphs(draw, n_min: int = 1) -> Graph:
+    """A star, complete graph, path or random tree on n_min to 8 vertices,
+    relabelled by a drawn permutation."""
+    n = draw(st.integers(n_min, 8))
+    shape = draw(st.sampled_from(("star", "complete", "path", "tree")))
+    if shape == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif shape == "complete":
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    elif shape == "path":
+        edges = [(v - 1, v) for v in range(1, n)]
+    else:
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def shaped_instances(draw) -> Instance:
+    """`shaped_graphs` with all-depot, shared-source or arbitrary commodities."""
+    g = draw(shaped_graphs())
+    vertex = st.integers(0, g.n - 1)
+    kind = draw(st.sampled_from(("all-depot", "shared-source", "arbitrary")))
+    if kind == "all-depot":
+        pairs = [(v, v) for v in draw(st.lists(vertex, min_size=1, max_size=5, unique=True))]
+    elif kind == "shared-source":
+        s = draw(vertex)
+        pairs = [(s, t) for t in draw(st.lists(vertex, min_size=1, max_size=5, unique=True))]
+    else:
+        pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=5, unique=True))
+    return Instance(g, tuple(pairs))
+
+
+@st.composite
+def shaped_ordered_instances(draw) -> OrderedInstance:
+    """`shaped_graphs` with a cyclic order of 2 to 5 distinct terminals."""
+    g = draw(shaped_graphs(n_min=2))
+    order = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=min(g.n, 5), unique=True))
+    return OrderedInstance(g, tuple(order))

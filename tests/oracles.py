@@ -1,0 +1,74 @@
+"""Exhaustive reference oracles for small cases, kept apart from the package.
+
+`brute_force_cut_check` verifies every cut row of the flow LP by enumerating
+all vertex subsets (n <= 16); `tjoin_brute_force` finds a minimum join by
+Gray-code enumeration of all edge subsets (at most 22 edges). The tests
+compare the separation and the parity join against them.
+"""
+
+from __future__ import annotations
+
+from multipath_tsp.errors import OracleLimitError
+from multipath_tsp.graphs import Graph
+from multipath_tsp.instances import AnyInstance
+from multipath_tsp.lp import EPS_LP, FractionalSolution
+
+
+def brute_force_cut_check(
+    inst: AnyInstance, sol: FractionalSolution, eps: float = EPS_LP
+) -> tuple[bool, tuple[int, int, frozenset[int]] | None]:
+    """Verify every cut constraint by enumerating all vertex subsets.
+
+    Returns (True, None) if for each commodity i, each vertex subset U
+    avoiding the sink, and each v in U, the flow leaving U is at least the
+    coverage z[i,v] minus eps. Otherwise returns the first witness (i, v, U).
+    """
+    n = inst.graph.n
+    if n > 16:
+        raise OracleLimitError("instance too large: cut enumeration is limited to 16 vertices")
+    arcs = sol.digraph.arcs
+    for i, (_, t) in enumerate(inst.commodities):
+        flows = sol.flows[i]
+        cover = sol.cover[i]
+        candidates = [v for v in range(n) if v != t and cover[v] > eps]
+        if not candidates:
+            continue
+        others = [v for v in range(n) if v != t]
+        for bits in range(1, 1 << len(others)):
+            members = frozenset(others[j] for j in range(len(others)) if bits >> j & 1)
+            crossing = sum(flows[a] for a, (u, w) in enumerate(arcs) if u in members and w not in members)
+            for v in candidates:
+                if v in members and crossing < cover[v] - eps:
+                    return False, (i, v, members)
+    return True, None
+
+
+def tjoin_brute_force(g: Graph, odd) -> tuple[int, frozenset[int]]:
+    """Exhaustive minimum join by Gray-code enumeration of all edge subsets."""
+    m = g.num_edges
+    if m > 22:
+        raise ValueError("brute-force join oracle is limited to 22 edges")
+    odd = frozenset(odd)
+    target = 0
+    for v in odd:
+        target ^= 1 << v
+    vmask = [(1 << u) ^ (1 << v) for u, v in g.edges]
+    best_size = None
+    best_subset = 0
+    parity = 0
+    subset = 0
+    for code in range(1 << m):
+        gray = code ^ (code >> 1)
+        if code:
+            bit = (gray ^ prev_gray).bit_length() - 1
+            parity ^= vmask[bit]
+            subset = gray
+        prev_gray = gray
+        if parity == target:
+            size = bin(subset).count("1")
+            if best_size is None or size < best_size:
+                best_size = size
+                best_subset = subset
+    if best_size is None:
+        raise ValueError("no join exists for the given target set")
+    return best_size, frozenset(e for e in range(m) if best_subset >> e & 1)

@@ -15,16 +15,17 @@ import pytest
 from multipath_tsp.bench import BenchConfig, generate, report_json, run_bench
 from multipath_tsp.decomposition import decompose
 from multipath_tsp.errors import OracleLimitError
-from multipath_tsp.exact import brute_force_cut_check, exact_opt, reconstruct_walks
+from multipath_tsp.exact import exact_opt, reconstruct_walks
 from multipath_tsp.graphs import Graph
 from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import solve_lp
 from multipath_tsp.multipath import prepare, run_derandomized, run_trial
 from multipath_tsp.ordered import run_ordered_trial, validate_ordered
-from multipath_tsp.parity import min_tjoin, tjoin_brute_force
+from multipath_tsp.parity import min_tjoin
 from multipath_tsp.vrp import run_combiner
 
 from conftest import FIG1_EDGES, FIG1_EIGHT_EDGE_SOLUTION
+from oracles import brute_force_cut_check, tjoin_brute_force
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -243,7 +244,7 @@ def test_criterion_08_decomposition_identity(suite):
             assert err <= 1e-6, (inst, i, err)
             assert len(dec.paths[i]) + len(dec.cycles[i]) <= num_arcs or num_arcs == 0
             if s != t:
-                assert abs(dec.path_weight_sum(i) - 1.0) <= 1e-6, (inst, i)
+                assert abs(sum(p.weight for p in dec.paths[i]) - 1.0) <= 1e-6, (inst, i)
     report(8, True, f"{len(rows)} LP solutions re-decomposed: per-arc reconstruction error "
                     f"<= 1e-6 (worst {worst_err:.2e}), element counts and weight sums in bounds")
 

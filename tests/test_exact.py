@@ -7,13 +7,14 @@ import pytest
 
 from multipath_tsp import exact
 from multipath_tsp.errors import OracleLimitError
-from multipath_tsp.exact import INF, LIMIT_DP, ExactResult, brute_force_cut_check, exact_opt, reconstruct_walks
+from multipath_tsp.exact import INF, LIMIT_DP, ExactResult, exact_opt, reconstruct_walks
 from multipath_tsp.graphs import Graph, all_pairs_distances
 from multipath_tsp.instances import Instance, validate_solution
 from multipath_tsp.lp import solve_lp
 from multipath_tsp.multipath import solve_derandomized
 
 from conftest import FIG1_EIGHT_EDGE_SOLUTION, random_instances
+from oracles import brute_force_cut_check
 
 
 def exact_by_permutations(inst: Instance) -> int:

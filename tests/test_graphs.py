@@ -20,7 +20,7 @@ from multipath_tsp.graphs import (
 
 def enumerate_cut(net: CapacitatedNetwork, s: int, t: int) -> float:
     """Reference min cut by checking every vertex subset."""
-    n = net.digraph.base.n
+    n = len(net.digraph.out_arcs)
     free = [v for v in range(n) if v not in (s, t)]
     best = float("inf")
     for bits in range(1 << len(free)):
@@ -113,7 +113,7 @@ class TestBfs:
         for _ in range(20):
             n = rng.randint(3, 8)
             net = random_network(rng, n)
-            g = net.digraph.base
+            g = Graph(n, net.digraph.arcs[0::2])  # arc 2e is edge e as stored
             dist = [bfs_distances(g, v) for v in range(n)]
             for u, v, w in itertools.permutations(range(n), 3):
                 if dist[u][w] >= 0 and dist[u][v] >= 0 and dist[v][w] >= 0:

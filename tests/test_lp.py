@@ -6,7 +6,7 @@ import pytest
 
 import multipath_tsp.lp as lp
 from multipath_tsp.errors import InternalError, OracleLimitError
-from multipath_tsp.exact import brute_force_cut_check, exact_opt
+from multipath_tsp.exact import exact_opt
 from multipath_tsp.graphs import BidirectedGraph, Graph
 from multipath_tsp.instances import Instance
 from multipath_tsp.lp import (
@@ -23,6 +23,7 @@ from multipath_tsp.lp import (
 )
 
 from conftest import random_instances
+from oracles import brute_force_cut_check
 
 
 def crossing_flow(sol, i, members):
@@ -179,8 +180,8 @@ class TestSeparation:
     def test_integral_path_clean(self, path3):
         dig = BidirectedGraph(path3.graph)
         flows = np.zeros((1, dig.num_arcs))
-        flows[0, dig.arc_id(0, 1)] = 1.0
-        flows[0, dig.arc_id(1, 2)] = 1.0
+        flows[0, dig.arcs.index((0, 1))] = 1.0
+        flows[0, dig.arcs.index((1, 2))] = 1.0
         cover = np.zeros((1, 3))
         cover[0, 0] = cover[0, 1] = 1.0
         sol = FractionalSolution(path3, dig, flows, cover, 2.0)

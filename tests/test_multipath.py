@@ -10,8 +10,8 @@ from multipath_tsp.graphs import BidirectedGraph, Graph
 from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import FractionalSolution
 from multipath_tsp.multipath import (
-    SamplerState,
     attachment_order,
+    chosen_walks,
     derandomize_choices,
     prepare,
     reconnect,
@@ -32,9 +32,9 @@ def diamond_plan():
     dig = BidirectedGraph(inst.graph)
     flows = np.zeros((1, dig.num_arcs))
     for u, v in [(0, 1), (1, 3)]:
-        flows[0, dig.arc_id(u, v)] = 0.5
+        flows[0, dig.arcs.index((u, v))] = 0.5
     for u, v in [(0, 2), (2, 3)]:
-        flows[0, dig.arc_id(u, v)] = 0.5
+        flows[0, dig.arcs.index((u, v))] = 0.5
     sol = FractionalSolution(inst, dig, flows, np.zeros((1, 4)), 2.0)
     return inst, decompose(inst, sol)
 
@@ -43,32 +43,33 @@ class TestSampling:
     def test_single_path_always_chosen(self, path3):
         plan = prepare(path3)
         for seed in range(25):
-            state = sample_paths(plan.decomposition, seed)
-            assert state.chosen == (0,)
-            assert state.walks == [[0, 1, 2]]
+            chosen = sample_paths(plan.decomposition, seed)
+            assert chosen == [0]
+            walks = chosen_walks(plan.decomposition, chosen)
+            assert walks == [[0, 1, 2]]
             # the sampled path alone covers every vertex
-            ok, why = validate_solution(path3, Solution((tuple(state.walks[0]),), 2))
+            ok, why = validate_solution(path3, Solution((tuple(walks[0]),), 2))
             assert ok, why
 
     def test_half_half_frequency(self, diamond_plan):
         _, dec = diamond_plan
         assert len(dec.paths[0]) == 2
-        hits = sum(sample_paths(dec, seed).chosen[0] == 0 for seed in range(10000))
+        hits = sum(sample_paths(dec, seed)[0] == 0 for seed in range(10000))
         assert abs(hits / 10000 - 0.5) <= 0.02
 
     def test_fig1_second_commodity_frequency(self, fig1, fig1_lp):
         dec = decompose(fig1, fig1_lp)
         target = (1, 8, 5, 6, 3)  # the route through the two lower-left inner vertices
         idx = [p.vertices for p in dec.paths[1]].index(target)
-        hits = sum(sample_paths(dec, seed).chosen[1] == idx for seed in range(10000))
+        hits = sum(sample_paths(dec, seed)[1] == idx for seed in range(10000))
         assert abs(hits / 10000 - 0.5) <= 0.02
 
     def test_depot_commodity_singleton(self):
         inst = Instance(Graph(2, [[0, 1]]), ((0, 1), (1, 1)))
         plan = prepare(inst)
-        state = sample_paths(plan.decomposition, 0)
-        assert state.chosen[1] is None
-        assert state.walks[1] == [1]
+        chosen = sample_paths(plan.decomposition, 0)
+        assert chosen[1] is None
+        assert chosen_walks(plan.decomposition, chosen)[1] == [1]
 
     def test_trial_mean_matches_opening_potential(self):
         # phi0 is the expected cost of one trial when path j is sampled with
@@ -91,13 +92,13 @@ class TestSampling:
         plan = prepare(fig1)
         a = sample_paths(plan.decomposition, 123)
         b = sample_paths(plan.decomposition, 123)
-        assert a.chosen == b.chosen and a.walks == b.walks
+        assert a == b
+        assert chosen_walks(plan.decomposition, a) == chosen_walks(plan.decomposition, b)
 
 
 class TestReconnect:
     def test_nothing_pending_is_noop(self, path3):
-        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2})
-        done = reconnect(path3, state)
+        done = reconnect(path3, [[0, 1, 2]])
         assert done == Solution(((0, 1, 2),), 2)
         ok, why = validate_solution(path3, done)
         assert ok, why
@@ -105,9 +106,7 @@ class TestReconnect:
     def test_fig1_two_uncovered_inner_vertices(self, fig1):
         # one concrete sampling outcome: these walks leave vertices 5 and 8 uncovered
         walks = [[0, 4, 6, 2], [1, 9, 7, 4, 3]]
-        covered = {v for w in walks for v in w}
-        state = SamplerState((0, 1), [list(w) for w in walks], covered)
-        done = reconnect(fig1, state)
+        done = reconnect(fig1, [list(w) for w in walks])
         ok, why = validate_solution(fig1, done)
         assert ok, why
         base = sum(len(w) - 1 for w in walks)
@@ -121,8 +120,7 @@ class TestReconnect:
         # center 0, commodity between two leaves: every other leaf costs two
         n = 6
         inst = Instance(Graph(n, [[0, i] for i in range(1, n)]), ((1, 2),))
-        state = SamplerState((0,), [[1, 0, 2]], {0, 1, 2})
-        done = reconnect(inst, state)
+        done = reconnect(inst, [[1, 0, 2]])
         assert done.cost == 2 + 2 * (n - 3)
         # one excursion from the center, lowest leaf first, at its first occurrence
         assert done.walks == ((1, 0, 3, 0, 4, 0, 5, 0, 2),)
@@ -132,16 +130,14 @@ class TestReconnect:
     def test_splice_at_first_occurrence(self):
         g = Graph(4, [[0, 1], [1, 2], [1, 3]])
         inst = Instance(g, ((0, 2),))
-        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2})
-        done = reconnect(inst, state)
+        done = reconnect(inst, [[0, 1, 2]])
         assert done.walks == ((0, 1, 3, 1, 2),)
 
     def test_nested_attachment(self):
         # 3 attaches to the walk at 1, then 4 attaches to 3: one excursion 1-3-4-3-1
         g = Graph(5, [[0, 1], [1, 2], [1, 3], [3, 4]])
         inst = Instance(g, ((0, 2),))
-        state = SamplerState((0,), [[0, 1, 2]], {0, 1, 2})
-        done = reconnect(inst, state)
+        done = reconnect(inst, [[0, 1, 2]])
         assert done == Solution(((0, 1, 3, 4, 3, 1, 2),), 6)
         ok, why = validate_solution(inst, done)
         assert ok, why

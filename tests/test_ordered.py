@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from multipath_tsp.errors import InternalError
 from multipath_tsp.graphs import Graph, shortest_path
 from multipath_tsp.instances import Instance, OrderedInstance, Solution, validate_solution
+from multipath_tsp.lp import EPS_OBJ
 from multipath_tsp.multipath import prepare, splice_excursions
 from multipath_tsp.ordered import (
     extract_ordered_walks,
@@ -17,7 +18,7 @@ from multipath_tsp.ordered import (
     validate_ordered,
 )
 
-from conftest import random_instances
+from conftest import random_instances, shaped_ordered_instances
 
 
 @pytest.fixture(scope="module")
@@ -125,23 +126,23 @@ class TestExtraction:
         # replay the solver's deterministic inputs and compare multisets
         from collections import Counter
 
-        from multipath_tsp.multipath import attachment_order, sample_paths
+        from multipath_tsp.multipath import attachment_order, chosen_walks, sample_paths
         from multipath_tsp.parity import min_tjoin, odd_vertices
 
         for inst in random_instances("ordered", 15, seed=83, n_max=10):
             plan = prepare(inst)
             g = inst.graph
-            state = sample_paths(plan.decomposition, 2)
-            extra = attachment_order(g, state.covered)
+            walks = chosen_walks(plan.decomposition, sample_paths(plan.decomposition, 2))
+            extra = attachment_order(g, {v for walk in walks for v in walk})
             join = min_tjoin(g, odd_vertices(extra), plan.dists)
             extra += [g.edges[e] for e in join.edges]
-            sol = splice_excursions([tuple(w) for w in state.walks], extra)
+            sol = splice_excursions([tuple(w) for w in walks], extra)
             produced = Counter()
             for walk in sol.walks:
                 for u, v in zip(walk, walk[1:]):
                     produced[g.edge_id(u, v)] += 1
             expected = Counter(g.edge_id(u, v) for u, v in extra)
-            for walk in state.walks:
+            for walk in walks:
                 for u, v in zip(walk, walk[1:]):
                     expected[g.edge_id(u, v)] += 1
             assert produced == expected
@@ -149,16 +150,16 @@ class TestExtraction:
     def test_walks_add_no_odd_vertex(self):
         # each terminal starts one walk and ends the next, so the join can
         # read the odd set of the reconnection edges alone, as the solver does
-        from multipath_tsp.multipath import attachment_order, sample_paths
+        from multipath_tsp.multipath import attachment_order, chosen_walks, sample_paths
         from multipath_tsp.parity import odd_vertices
 
         for inst in random_instances("ordered", 30, seed=89, n_max=12):
             plan = prepare(inst)
             g = inst.graph
             for seed in range(3):
-                state = sample_paths(plan.decomposition, seed)
-                extra = attachment_order(g, state.covered)
-                union = extra + [(a, b) for walk in state.walks for a, b in zip(walk, walk[1:])]
+                walks = chosen_walks(plan.decomposition, sample_paths(plan.decomposition, seed))
+                extra = attachment_order(g, {v for walk in walks for v in walk})
+                union = extra + [(a, b) for walk in walks for a, b in zip(walk, walk[1:])]
                 assert odd_vertices(extra) == odd_vertices(union)
 
     def test_parity_violation_detected(self):
@@ -245,3 +246,17 @@ def test_splice_keeps_every_edge_and_endpoint(case):
         # a component that shares no vertex with any walk
         with pytest.raises(InternalError, match="disconnected"):
             splice_excursions(walks, copies + [apart[0]] * 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(shaped_ordered_instances())
+def test_ordered_trials_on_edge_shapes(inst):
+    # stars, complete graphs, paths and trees with k >= 2 terminals: the join
+    # costs at most LP / 2 and the report adds up to the cost, on 3 seeds
+    plan = prepare(inst)
+    for seed in range(3):
+        sol, report, join = run_ordered_trial(plan, seed)
+        ok, why = validate_solution(inst, sol)
+        assert ok, why
+        assert join.cost <= plan.lp.objective / 2 + EPS_OBJ
+        assert report.total == sol.cost

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -13,8 +15,9 @@ from multipath_tsp.parity import (
     min_tjoin,
     min_weight_pairs,
     odd_vertices,
-    tjoin_brute_force,
 )
+
+from oracles import tjoin_brute_force
 
 
 def random_graph(rng: random.Random, n: int, max_edges: int) -> Graph:
@@ -237,3 +240,10 @@ def test_join_is_minimal_with_odd_set_exactly_t(case):
     join = min_tjoin(g, odd)
     assert join.cost == tjoin_brute_force(g, odd)[0]
     assert odd_vertices([g.edges[e] for e in join.edges]) == frozenset(odd)
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx is imported only when a join reaches the blossom, so a fresh
+    # interpreter that loads the CLI has not loaded it
+    code = "import multipath_tsp.cli, sys; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -8,10 +8,10 @@ from multipath_tsp.exact import exact_opt
 from multipath_tsp.graphs import BidirectedGraph, Graph, bfs_distances
 from multipath_tsp.instances import Instance, Solution, validate_solution
 from multipath_tsp.lp import EPS_OBJ, solve_lp
-from multipath_tsp.multipath import SolverPlan, derandomize_choices, prepare, run_derandomized
+from multipath_tsp.multipath import SolverPlan, derandomize_choices, prepare, run_derandomized, run_trial
 from multipath_tsp.vrp import run_combiner, solve_combiner, solve_vrp_forest
 
-from conftest import random_instances
+from conftest import random_instances, shaped_instances
 
 
 def _depots(graph: Graph, depots: tuple[int, ...]) -> Instance:
@@ -147,7 +147,7 @@ class TestCombiner:
 
 
 def _walk(dig: BidirectedGraph, vertices: tuple[int, ...], weight: float) -> FlowWalk:
-    return FlowWalk(tuple(dig.arc_id(u, v) for u, v in zip(vertices, vertices[1:])), vertices, weight)
+    return FlowWalk(tuple(dig.arcs.index((u, v)) for u, v in zip(vertices, vertices[1:])), vertices, weight)
 
 
 def _depot_branch_cost(inst: Instance) -> int:
@@ -204,3 +204,24 @@ class TestOpeningPotential:
         _, trace = derandomize_choices(plan.decomposition, plan.mass)
         assert trace[0] <= _depot_branch_cost(inst) + EPS_OBJ
         assert run_combiner(plan)[1].cost_vrp_branch == _depot_branch_cost(inst)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shaped_instances(), st.integers(0, 2**16))
+def test_solvers_on_edge_shapes(inst, seed):
+    # stars, complete graphs, paths and trees down to n = 1, with all-depot,
+    # shared-source or arbitrary commodities: every solver's output is valid
+    # and LP <= OPT <= combiner <= derandomized <= 2 * LP
+    plan = prepare(inst)
+    lp = plan.lp.objective
+    sol_d, rep_d = run_derandomized(plan)
+    sol_c, _ = run_combiner(plan)
+    sol_t, _ = run_trial(plan, seed)
+    for sol in (sol_d, sol_c, sol_t):
+        ok, why = validate_solution(inst, sol)
+        assert ok, why
+    assert rep_d.total <= 2 * lp + EPS_OBJ
+    assert sol_c.cost <= sol_d.cost
+    opt = exact_opt(inst).cost
+    assert lp <= opt + EPS_OBJ
+    assert opt <= sol_c.cost
