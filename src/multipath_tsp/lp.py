@@ -25,7 +25,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kHighsInf
+
+try:  # the package's one import of this private module: a scipy release may move it
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kHighsInf
+except ImportError as exc:
+    import scipy
+
+    raise ImportError(
+        "multipath_tsp needs scipy's HiGHS binding, scipy.optimize._highspy._core, which scipy "
+        f"{scipy.__version__} does not provide; it is tested with scipy 1.15 and later"
+    ) from exc
 
 from .errors import InternalError, LpError
 from .graphs import BidirectedGraph, CapacitatedNetwork, min_cut

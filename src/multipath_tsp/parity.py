@@ -13,19 +13,22 @@ cheaper alternate half, the vertices of odd cycles matched by `min_weight_pairs`
 a DP over bitmasks whose states grow like 2^k, so only up to `MATCH_DP_MAX`
 vertices). A repair that meets the bound is optimal. Sets the bound cannot
 certify, or whose odd cycles hold more than `MATCH_DP_MAX` vertices, go to
-networkx's blossom algorithm, which is imported only when a set reaches it.
+`odd_set_pairs`: the matching LP with Edmonds' odd-set rows (1965) on HiGHS,
+separated exactly by the Padberg-Rao odd cuts of a Gomory-Hu tree (1982).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graphs import Graph, all_pairs_distances, descend
+from .errors import InternalError, LpError
+from .graphs import FLOW_EPS, BidirectedGraph, CapacitatedNetwork, Graph, all_pairs_distances, descend, min_cut
+from .lp import EPS_OBJ, EPS_SEP, MAX_CUT_ROUNDS, HighsModelStatus, _Highs, kHighsInf
 
-MATCH_DP_MAX = 12  # most odd-cycle vertices the bitmask DP matches; the blossom takes over above it
+MATCH_DP_MAX = 12  # most odd-cycle vertices the bitmask DP matches; the odd-set LP takes over above it
 
 
 @dataclass(frozen=True)
@@ -108,11 +111,8 @@ def certified_pairs(weight) -> list[tuple[int, int]] | None:
     at most `MATCH_DP_MAX` of them. The repair is returned, as pairs (a, b)
     with a < b, only if it weighs at most the bound.
     """
-    padded = []
-    for i, row in enumerate(weight):
-        row = list(row)
-        row[i] = math.inf  # forbids fixed points
-        padded.append(row)
+    padded = np.array(weight, dtype=float)
+    np.fill_diagonal(padded, np.inf)  # forbids fixed points
     perm = linear_sum_assignment(padded)[1].tolist()
     bound = (sum(row[j] for row, j in zip(weight, perm)) + 1) // 2
     pairs = []
@@ -153,11 +153,111 @@ def certified_pairs(weight) -> list[tuple[int, int]] | None:
     return pairs if total <= bound else None
 
 
+def _odd_cuts(t: int, ends: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """Odd sets S with x(δ(S)) < 1 - EPS_SEP, each as a boolean mask over 0..t-1
+    that leaves out vertex 0 (S and its complement give the same row).
+
+    The candidates are the sides of a Gomory-Hu tree of 0..t-1 under capacities
+    x on the pairs `ends` (those above FLOW_EPS), built by Gusfield's method:
+    t - 1 `min_cut` calls, no contraction. Each vertex v > 0 hangs below
+    parent[v], and every subtree is the side of a fundamental cut. By Padberg
+    and Rao, if some odd set S has x(δ(S)) < 1, so does the least odd
+    fundamental cut, so the result is empty only if no odd-set row is
+    violated. The source sides of the `min_cut` calls are checked too: they
+    are cuts of the same support, and adding them cuts the rounds.
+    """
+    support = np.flatnonzero(x > FLOW_EPS)
+    ends, x = ends[support], x[support]
+    net = CapacitatedNetwork(BidirectedGraph(Graph(t, ends.tolist())), np.repeat(x, 2))
+    parent = [0] * t
+    sides = []
+    for s in range(1, t):
+        target = parent[s]
+        side = min_cut(net, s, target)[1]
+        sides.append(list(side))
+        for v in side:
+            if v != s and parent[v] == target:
+                parent[v] = s
+        if target and parent[target] in side:
+            parent[s], parent[target] = parent[target], s
+    below: list[list[int]] = [[] for _ in range(t)]
+    for v in range(1, t):
+        below[parent[v]].append(v)
+    for v in range(1, t):
+        subtree = [v]
+        for u in subtree:
+            subtree += below[u]
+        sides.append(subtree)
+    cuts: dict[bytes, np.ndarray] = {}
+    for side in sides:
+        if len(side) % 2:
+            inside = np.zeros(t, dtype=bool)
+            inside[side] = True
+            inside ^= inside[0]
+            if x[inside[ends[:, 0]] != inside[ends[:, 1]]].sum() < 1 - EPS_SEP:
+                cuts[inside.tobytes()] = inside
+    return list(cuts.values())
+
+
+def odd_set_pairs(weight) -> list[tuple[int, int]]:
+    """Minimum-weight perfect matching of 0..t-1 (t even, at least 2) under the
+    symmetric integer `weight` matrix, as a cutting-plane LP on HiGHS.
+
+    One column x_ab in [0, 1] of cost weight[a][b] per pair a < b, one row
+    x(δ(v)) = 1 per vertex, then Edmonds' rows x(δ(S)) >= 1 for the odd sets S
+    that `_odd_cuts` finds violated, round by round until x is integral. A
+    vertex of this LP that satisfies every odd-set row is a vertex of the
+    perfect-matching polytope, so the integral x is an optimal matching.
+    Returns its pairs (a, b), a < b, in increasing order.
+    """
+    t = len(weight)
+    ends = np.column_stack(np.triu_indices(t, 1)).astype(np.int32)  # the pairs a < b, in increasing order
+    m = len(ends)
+    cost = np.asarray(weight, dtype=float)[ends[:, 0], ends[:, 1]]
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")  # a first solve of these small LPs is faster without it
+    # the degree rows, empty until each column brings its entries in rows a and b
+    no_entries = np.zeros(0, dtype=np.int32)
+    highs.addRows(t, np.ones(t), np.ones(t), 0, np.zeros(t, dtype=np.int32), no_entries, np.zeros(0))
+    highs.addCols(m, cost, np.zeros(m), np.ones(m), 2 * m, np.arange(0, 2 * m, 2, dtype=np.int32), ends.ravel(),
+                  np.ones(2 * m))
+    added: set[bytes] = set()
+    for _ in range(MAX_CUT_ROUNDS):
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise InternalError(f"matching LP not optimal: {highs.modelStatusToString(status)}")
+        x = np.asarray(highs.getSolution().col_value)
+        if np.all(np.abs(x - np.rint(x)) <= EPS_SEP):
+            break
+        cuts = [inside for inside in _odd_cuts(t, ends, x) if inside.tobytes() not in added]
+        if not cuts:
+            raise InternalError("the matching LP is fractional, but no odd set is violated")
+        added.update(inside.tobytes() for inside in cuts)
+        rows = [np.flatnonzero(inside[ends[:, 0]] != inside[ends[:, 1]]) for inside in cuts]
+        index = np.concatenate(rows).astype(np.int32)
+        starts = np.cumsum([0] + [len(row) for row in rows[:-1]], dtype=np.int32)
+        highs.addRows(len(rows), np.ones(len(rows)), np.full(len(rows), kHighsInf), len(index), starts, index,
+                      np.ones(len(index)))
+    else:
+        raise LpError(f"iteration limit exceeded ({MAX_CUT_ROUNDS} odd-set rounds)")
+    matched = [(int(a), int(b)) for a, b in ends[x > 0.5]]
+    if sorted(v for pair in matched for v in pair) != list(range(t)):
+        raise InternalError(f"the matching LP rounded to a non-matching: {matched}")
+    total, objective = sum(weight[a][b] for a, b in matched), float(cost @ x)
+    if abs(total - objective) > EPS_OBJ:
+        raise InternalError(f"matching weight {total} is off the LP objective {objective}")
+    return matched
+
+
 def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
     """Cost-minimal edge set with odd degree exactly on `odd`.
 
     Requires an even set of distinct vertices in a connected graph. `dists` may carry a
-    precomputed BFS distance matrix to avoid recomputation in hot loops.
+    precomputed BFS distance matrix to avoid recomputation in hot loops. The odd
+    vertices are matched by `certified_pairs` where the assignment bound certifies
+    its repair, else by the odd-set LP of `odd_set_pairs`.
     """
     odd = tuple(sorted(odd))
     if len(set(odd)) != len(odd):
@@ -172,19 +272,11 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
         dists = all_pairs_distances(g)
     weight = [[dists[a][b] for b in odd] for a in odd]
     pairs = certified_pairs(weight)
-    if pairs is not None:
-        matching = [(odd[i], odd[j]) for i, j in pairs]
-    else:
-        import networkx as nx
-
-        complete = nx.Graph()
-        complete.add_nodes_from(odd)
-        for idx, a in enumerate(odd):
-            for b in odd[idx + 1:]:
-                complete.add_edge(a, b, weight=dists[a][b])
-        matching = [tuple(sorted(pair)) for pair in nx.min_weight_matching(complete)]
+    if pairs is None:
+        pairs = odd_set_pairs(weight)
     edges: set[int] = set()
-    for a, b in matching:
+    for i, j in pairs:
+        a, b = odd[i], odd[j]
         walk = descend(g, dists[b], a)
         for u, v in zip(walk, walk[1:]):
             edges.symmetric_difference_update({g.edge_id(u, v)})

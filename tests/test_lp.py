@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +156,22 @@ class TestHighsOptions:
         monkeypatch.setattr(lp, "DUAL_EDGE_WEIGHTS", 3)
         with pytest.raises(InternalError):
             LpModel(path3)
+
+    def test_missing_binding_names_the_scipy_version(self):
+        # the binding is a private scipy module; where a release lacks it, the
+        # package's import says which scipy is installed and which it is tested on
+        code = (
+            "import sys, scipy\n"
+            "sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "try:\n"
+            "    import multipath_tsp\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(not (f'scipy {scipy.__version__} ' in str(exc) and 'scipy 1.15 and later' in str(exc)))\n"
+            "sys.exit(2)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
 
 
 class TestSolveValues:

@@ -1,19 +1,24 @@
 import random
 import subprocess
 import sys
+import time
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import multipath_tsp.parity as parity
+from multipath_tsp.errors import InternalError
 from multipath_tsp.graphs import Graph, all_pairs_distances, bfs_distances
 from multipath_tsp.parity import (
     MATCH_DP_MAX,
     certified_pairs,
     min_tjoin,
     min_weight_pairs,
+    odd_set_pairs,
     odd_vertices,
 )
 
@@ -188,13 +193,16 @@ class TestMatchingDp:
         assert join.edges == frozenset({g.edge_id(0, 1), g.edge_id(2, 3)})
 
 
+# a tree: centre 0 with leaves 1, 2, 3 and the edge 0-4; 4-5; 5 with leaves 6, 7
+UNCERTIFIED_TREE = [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5], [5, 6], [5, 7]]
+
+
 class TestCertifiedMatching:
-    def test_uncertified_repair_goes_to_the_blossom(self):
-        # a tree: centre 0 with leaves 1, 2, 3 and the edge 0-4; 4-5; 5 with
-        # leaves 6, 7. The assignment's cycles repair to a matching of weight
-        # 8, above the bound 6 = (12 + 1) // 2, so the blossom matches it; the
-        # tree's only join with every vertex odd has 6 edges
-        g = Graph(8, [[0, 1], [0, 2], [0, 3], [0, 4], [4, 5], [5, 6], [5, 7]])
+    def test_uncertified_repair_goes_to_the_odd_set_lp(self):
+        # The assignment's cycles repair to a matching of weight 8, above the
+        # bound 6 = (12 + 1) // 2, so the odd-set LP matches it; the tree's
+        # only join with every vertex odd has 6 edges
+        g = Graph(8, UNCERTIFIED_TREE)
         dists = all_pairs_distances(g)
         odd = tuple(range(8))
         weight = [[dists[a][b] for b in odd] for a in odd]
@@ -221,6 +229,67 @@ class TestCertifiedMatching:
         assert min_tjoin(g, odd, dists).cost == tjoin_brute_force(g, odd)[0] == 4
 
 
+def gnp_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """A random tree plus each other pair with probability p: connected G(n, p)-like."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph(n, sorted(edges))
+
+
+class TestOddSetMatching:
+    def test_weight_equals_blossom_on_trees_and_gnp(self):
+        rng = random.Random(53)
+        for size in range(2, 31, 2):
+            for shape in ("tree", "gnp"):
+                n = rng.randint(size, 60)
+                g = gnp_graph(rng, n, 0.0 if shape == "tree" else 3 / n)
+                dists = all_pairs_distances(g)
+                odd = tuple(sorted(rng.sample(range(n), size)))
+                weight = [[dists[a][b] for b in odd] for a in odd]
+                pairs = odd_set_pairs(weight)
+                assert sum(weight[i][j] for i, j in pairs) == blossom_weight(dists, odd), (shape, g.edges, odd)
+
+    def test_hundred_vertex_tree_with_forty_odd_vertices(self):
+        # a plain branch and bound had not finished such trees after minutes
+        rng = random.Random(11)
+        g = gnp_graph(rng, 100, 0.0)
+        dists = all_pairs_distances(g)
+        odd = tuple(sorted(rng.sample(range(100), 40)))
+        weight = [[dists[a][b] for b in odd] for a in odd]
+        start = time.perf_counter()
+        pairs = odd_set_pairs(weight)
+        assert time.perf_counter() - start < 1.0
+        assert sum(weight[i][j] for i, j in pairs) == blossom_weight(dists, odd)
+
+    # two unit triangles 10 apart: the degree rows alone are optimal at x = 1/2
+    # on both triangles (cost 3), below every perfect matching (1 + 10 + 1)
+    TRIANGLES = [[0 if a == b else 1 if (a < 3) == (b < 3) else 10 for b in range(6)] for a in range(6)]
+
+    def test_two_triangles_take_one_odd_set_row(self):
+        ends = np.column_stack(np.triu_indices(6, 1))
+        half = np.array([0.5 if (a < 3) == (b < 3) else 0.0 for a, b in ends])
+        assert [np.flatnonzero(s).tolist() for s in parity._odd_cuts(6, ends, half)] == [[3, 4, 5]]
+        pairs = odd_set_pairs(self.TRIANGLES)
+        assert sum(self.TRIANGLES[a][b] for a, b in pairs) == 12
+
+    def test_fractional_point_without_a_violated_odd_set_raises(self, monkeypatch):
+        monkeypatch.setattr(parity, "_odd_cuts", lambda t, ends, x: [])
+        with pytest.raises(InternalError):
+            odd_set_pairs(self.TRIANGLES)
+
+    def test_pairs_are_a_perfect_matching_in_order(self):
+        rng = random.Random(61)
+        for size in range(2, 27, 2):
+            n = rng.randint(size, 40)
+            g = gnp_graph(rng, n, rng.choice((0.0, 0.1, 0.3)))
+            dists = all_pairs_distances(g)
+            odd = tuple(sorted(rng.sample(range(n), size)))
+            pairs = odd_set_pairs([[dists[a][b] for b in odd] for a in odd])
+            assert sorted(v for pair in pairs for v in pair) == list(range(size))
+            assert all(i < j for i, j in pairs)
+            assert pairs == sorted(pairs)
+
+
 @st.composite
 def small_graph_and_even_set(draw):
     n = draw(st.integers(2, 9))
@@ -243,7 +312,18 @@ def test_join_is_minimal_with_odd_set_exactly_t(case):
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    # networkx is imported only when a join reaches the blossom, so a fresh
-    # interpreter that loads the CLI has not loaded it
+    # networkx is a test oracle only, so a fresh interpreter that loads the
+    # CLI has not loaded it
     code = "import multipath_tsp.cli, sys; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_uncertified_join_leaves_networkx_unloaded():
+    # the tree's odd set goes past the assignment bound to the odd-set LP,
+    # which runs without networkx
+    code = (
+        "import sys; from multipath_tsp.graphs import Graph; from multipath_tsp.parity import min_tjoin; "
+        f"assert min_tjoin(Graph(8, {UNCERTIFIED_TREE}), range(8)).cost == 6; "
+        "sys.exit('networkx' in sys.modules)"
+    )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
