@@ -9,6 +9,19 @@ partition dynamic program over submasks. In a metric a walk covering a
 superset never costs less, so some optimal solution induces such an
 assignment; the relaxed-oracle test in the suite spot-checks this reasoning.
 
+Terminal-free pendant trees are stripped first: non-terminal vertices of
+degree 1, repeatedly, each with the neighbour it hung from. No walk starts or
+ends in such a tree, so every solution crosses each of its edges at least
+twice, and a depth-first tour from the kernel vertex it hangs from (its
+anchor) crosses each exactly twice: OPT = OPT(kernel) + 2 per stripped
+vertex. The DPs run on the instance's own distances with only the kernel's
+free vertices, then each anchor's tree goes back, as one DFS preorder
+(children ascending), into the first order by commodity index that holds the
+anchor: right after its first occurrence, or just before it when that
+occurrence ends a longer order, and a lone depot order (s,) becomes
+(s, *tree, s). The oracle limits still count every free vertex of the
+instance.
+
 The Held-Karp tables keep only minima: one float32 (f, 2^f) table per
 commodity, best[i, mask] with the last waypoint i first, built one popcount
 layer at a time by an elementwise minimum over the predecessors i, each a
@@ -26,8 +39,9 @@ cached popcount blocks (row r of block p holds the 2^p submasks of the r-th
 mask of popcount p as uint16, 3^f pairs over all blocks). The last commodity
 needs no step. The way back scans the submasks of one mask per commodity,
 from the full mask and the last commodity down, and takes the largest
-submask that reaches the minimum. So among tied optima the assignment is the
-largest in free-vertex bitmasks, compared from the last commodity first.
+submask that reaches the minimum. So among tied optima the kernel's
+assignment is the largest in free-vertex bitmasks, compared from the last
+commodity first, and the stripped trees then follow the placement above.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleLimitError
-from .graphs import all_pairs_distances, descend
+from .graphs import Graph, all_pairs_distances, descend
 from .instances import AnyInstance, Solution
 
 INF = float("inf")
@@ -162,6 +176,47 @@ def _best_split(prev: np.ndarray, cost_i: np.ndarray, mask: int, f: int) -> int:
     return 0 if best == INF else int(subs[np.flatnonzero(cand == best)[-1]])
 
 
+def _pendant_parents(g: Graph, terminals: frozenset[int]) -> dict[int, int]:
+    """Strip non-terminal vertices of degree 1 until none is left, and map
+    each to its parent, the one neighbour left when it went.
+
+    In a connected graph with a terminal neither the stripped set nor any
+    parent depends on the stripping order: a parent is the neighbour towards
+    the tree's anchor.
+    """
+    degree = [len(ns) for ns in g.adj]
+    stack = [v for v in range(g.n) if degree[v] == 1 and v not in terminals]
+    parent: dict[int, int] = {}
+    while stack:
+        v = stack.pop()
+        (p,) = (u for u in g.adj[v] if u not in parent)
+        parent[v] = p
+        degree[p] -= 1
+        if degree[p] == 1 and p not in terminals:
+            stack.append(p)
+    return parent
+
+
+def _splice_trees(parent: dict[int, int], assignment: list[set[int]], orders: list[list[int]]) -> None:
+    """Put each anchor's pendant tree, as one DFS preorder, into the orders
+    and the assignment, in place, by the placement in the module docstring."""
+    children: dict[int, list[int]] = {}
+    for v in sorted(parent):
+        children.setdefault(parent[v], []).append(v)
+    for a in sorted(set(children) - set(parent)):
+        tree, stack = [], children[a][::-1]
+        while stack:
+            v = stack.pop()
+            tree.append(v)
+            stack.extend(children.get(v, ())[::-1])
+        i = next(i for i, order in enumerate(orders) if a in order)
+        order = orders[i]
+        j = order.index(a)
+        at = j if j and j == len(order) - 1 else j + 1
+        order[at:at] = tree if len(order) > 1 else [*tree, a]
+        assignment[i].update(tree)
+
+
 def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
     """Minimum total walk cost, exact, for desk-scale instances."""
     g = inst.graph
@@ -172,6 +227,9 @@ def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
             f"instance too large: {f} free vertices exceed the oracle limits "
             f"(limit_free={limit_free}, limit_dp={LIMIT_DP})"
         )
+    parent = _pendant_parents(g, inst.terminals)
+    free = [v for v in free if v not in parent]   # the kernel's free vertices
+    f = len(free)
     dist = np.array(all_pairs_distances(g), dtype=float)
     k = inst.k
     layers = _popcount_layers(f)
@@ -191,9 +249,10 @@ def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
     masks[0] = mask
     total = sum(tables[i][0][masks[i]] for i in range(k))   # whole numbers, so the sum is exact
 
-    assignment = tuple(frozenset(free[j] for j in range(f) if masks[i] >> j & 1) for i in range(k))
-    orders = tuple(tables[i][1](masks[i]) for i in range(k))
-    return ExactResult(int(total), assignment, orders)
+    assignment = [{free[j] for j in range(f) if masks[i] >> j & 1} for i in range(k)]
+    orders = [list(tables[i][1](masks[i])) for i in range(k)]
+    _splice_trees(parent, assignment, orders)
+    return ExactResult(int(total) + 2 * len(parent), tuple(map(frozenset, assignment)), tuple(map(tuple, orders)))
 
 
 def reconstruct_walks(inst: AnyInstance, result: ExactResult) -> Solution:

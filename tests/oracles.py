@@ -2,8 +2,10 @@
 
 `brute_force_cut_check` verifies every cut row of the flow LP by enumerating
 all vertex subsets (n <= 16); `tjoin_brute_force` finds a minimum join by
-Gray-code enumeration of all edge subsets (at most 22 edges). The tests
-compare the separation and the parity join against them.
+Gray-code enumeration of all edge subsets (at most 22 edges);
+`pendant_anchors` finds the terminal-free pendant trees by rescanning every
+vertex until none can be stripped. The tests compare the separation, the
+parity join and the exact oracle's tie rule against them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,30 @@ def brute_force_cut_check(
                 if v in members and crossing < cover[v] - eps:
                     return False, (i, v, members)
     return True, None
+
+
+def pendant_anchors(g: Graph, terminals) -> dict[int, int]:
+    """Each vertex of a terminal-free pendant tree, mapped to the vertex of the
+    rest of the graph (the kernel) that its tree hangs from.
+
+    Rescans all vertices for a non-terminal with one neighbour left until a
+    scan strips nothing, then walks a BFS from each stripped vertex to the
+    first kernel vertex it meets, its anchor.
+    """
+    left = set(range(g.n))
+    while True:
+        gone = {v for v in left if v not in terminals and len(left.intersection(g.adj[v])) == 1}
+        if not gone:
+            break
+        left -= gone
+    anchors = {}
+    for v in sorted(set(range(g.n)) - left):
+        seen, frontier = {v}, [v]
+        while not left.intersection(frontier):
+            frontier = [w for u in frontier for w in g.adj[u] if w not in seen]
+            seen.update(frontier)
+        (anchors[v],) = left.intersection(frontier)
+    return anchors
 
 
 def tjoin_brute_force(g: Graph, odd) -> tuple[int, frozenset[int]]:

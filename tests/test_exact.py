@@ -14,7 +14,7 @@ from multipath_tsp.lp import solve_lp
 from multipath_tsp.multipath import solve_derandomized
 
 from conftest import FIG1_EIGHT_EDGE_SOLUTION, random_instances
-from oracles import brute_force_cut_check
+from oracles import brute_force_cut_check, pendant_anchors
 
 
 def exact_by_permutations(inst: Instance) -> int:
@@ -296,8 +296,10 @@ def optimal_assignments(inst: Instance) -> tuple[int, list[tuple[int, ...]]]:
 
 
 class TestTieRule:
-    """Among tied optima the oracle returns the largest assignment, compared
-    as free-vertex bitmasks from the last commodity to the first."""
+    """Among tied optima the oracle returns the kernel's largest assignment,
+    compared as free-vertex bitmasks from the last commodity to the first,
+    and then places each terminal-free pendant tree with the first commodity
+    whose walk holds the vertex the tree hangs from."""
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_lexicographic_maximum_of_tied_optima(self, k):
@@ -309,12 +311,20 @@ class TestTieRule:
             if len(found) < 2:
                 continue
             free = sorted(set(range(inst.graph.n)) - inst.terminals)
-            want = max(found, key=lambda masks: masks[::-1])
+            anchors = pendant_anchors(inst.graph, inst.terminals)
+            pruned = sum(1 << j for j, v in enumerate(free) if v in anchors)
+            # optimal assignments of G, cut to the kernel, are the kernel's optimal ones
+            top = max(found, key=lambda masks: tuple(m & ~pruned for m in masks[::-1]))
+            kernel = [{free[j] for j in range(len(free)) if (m & ~pruned) >> j & 1} for m in top]
+            want = [set(assigned) for assigned in kernel]
+            for v, a in anchors.items():
+                want[next(i for i, (s, t) in enumerate(inst.commodities) if a in (s, t) or a in kernel[i])].add(v)
             result = exact_opt(inst)
             assert result.cost == best
-            assert result.assignment == tuple(
-                frozenset(free[j] for j in range(len(free)) if m >> j & 1) for m in want
-            )
+            assert result.assignment == tuple(map(frozenset, want))
+            assert result.assignment in [
+                tuple(frozenset(free[j] for j in range(len(free)) if m >> j & 1) for m in masks) for masks in found
+            ]
             dist = all_pairs_distances(inst.graph)
             total = 0
             for (s, t), assigned, order in zip(inst.commodities, result.assignment, result.orders):
@@ -375,6 +385,83 @@ class TestMinPlusStep:
                     assert row == submasks(mask)
                 seen.extend(masks.tolist())
             assert sorted(seen) == list(range(1 << f))
+
+
+def trees_with_pendants(count: int, seed: int):
+    """Random trees on 3 to 9 vertices plus up to 2 extra edges, with 1 to 3
+    commodities between random vertices (depots allowed), so most carry
+    terminal-free pendant trees."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 2)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        commodities = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3))}
+        yield Instance(Graph(n, sorted(edges)), tuple(sorted(commodities)))
+
+
+class TestPendantTrees:
+    """Terminal-free pendant trees are stripped before the tables and spliced
+    back as closed tours that cost 2 per vertex."""
+
+    def test_matches_permutation_oracle(self):
+        checked = pruned = 0
+        for inst in trees_with_pendants(400, seed=131):
+            if free_count(inst) > 6:
+                continue
+            result = exact_opt(inst)
+            assert result.cost == exact_by_permutations(inst)
+            sol = reconstruct_walks(inst, result)
+            ok, why = validate_solution(inst, sol)
+            assert ok, why
+            assert sol.cost == result.cost
+            checked += 1
+            pruned += bool(pendant_anchors(inst.graph, inst.terminals))
+        assert checked >= 150 and pruned >= 100
+
+    @pytest.mark.parametrize("edges, commodities, cost, order", [
+        # path 0-1-2-3 with leaves 4 on 1 and 5 on 2: the walk crosses the 3
+        # path edges, and each leaf needs its edge twice, since the edge is
+        # off every 0-3 path
+        ([[0, 1], [1, 2], [2, 3], [1, 4], [2, 5]], ((0, 3),), 7, (0, 1, 4, 2, 5, 3)),
+        # a star around the depot 0: a closed walk crosses each leaf edge twice
+        ([[0, v] for v in range(1, 6)], ((0, 0),), 10, (0, 1, 2, 3, 4, 5, 0)),
+        # edge 0-1 once, and the leaf 2 on the sink 1 costs its edge twice
+        ([[0, 1], [1, 2]], ((0, 1),), 3, (0, 2, 1)),
+    ])
+    def test_hand_proven(self, edges, commodities, cost, order):
+        inst = Instance(Graph(len(edges) + 1, edges), commodities)
+        result = exact_opt(inst)
+        assert result.cost == cost
+        assert result.orders == (order,)
+        assert result.assignment == (frozenset(order) - inst.terminals,)
+        sol = reconstruct_walks(inst, result)
+        ok, why = validate_solution(inst, sol)
+        assert ok, why
+        assert sol.cost == cost
+
+    def test_tree_with_one_depot(self):
+        # a closed walk from the depot crosses every edge of a tree at least
+        # twice, and a depth-first tour crosses each exactly twice
+        rng = random.Random(137)
+        for n in range(1, 13):
+            edges = [[rng.randrange(v), v] for v in range(1, n)]
+            inst = Instance(Graph(n, edges), ((rng.randrange(n),) * 2,))
+            result = exact_opt(inst, limit_free=11)
+            assert result.cost == 2 * (n - 1)
+            sol = reconstruct_walks(inst, result)
+            ok, why = validate_solution(inst, sol)
+            assert ok, why
+            assert sol.cost == result.cost
+
+    def test_limit_counts_every_free_vertex(self):
+        # 15 free leaves, all stripped, are still refused by the DP limit
+        inst = Instance(Graph(16, [[0, v] for v in range(1, 16)]), ((0, 0),))
+        assert free_count(inst) == LIMIT_DP + 1
+        with pytest.raises(OracleLimitError, match="limit_dp=14"):
+            exact_opt(inst, limit_free=LIMIT_DP + 1)
 
 
 class TestDpLimit:
