@@ -31,7 +31,7 @@ from .instances import (
 )
 from .lp import solve_lp
 from .multipath import CostReport, prepare, run_derandomized, run_trial, solve_derandomized, solve_randomized
-from .ordered import run_ordered_trial, solve_ordered, validate_ordered
+from .ordered import run_ordered_trial, validate_ordered
 from .vrp import CombinerReport, run_combiner, solve_combiner, solve_vrp_forest
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "solve_combiner",
     "solve_derandomized",
     "solve_lp",
-    "solve_ordered",
     "solve_randomized",
     "solve_vrp_forest",
     "validate_ordered",

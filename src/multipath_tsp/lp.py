@@ -9,8 +9,8 @@ that actually escapes toward the commodity's sink. Each separated cut
 (i, v, U) is lifted to every other commodity j whose sink lies outside U:
 v is a non-sink in U and t_j is not, so every walk solution satisfies the
 row (j, v, U) too, and adding it ahead of time spares the rounds that would
-find the same (v, U) once per commodity. A round's rows go to HiGHS in one
-call.
+find the same (v, U) once per commodity. `HighsModel` is the one user of
+scipy's HiGHS binding: this LP and the parity join's matching LP share it.
 
 Note the coverage amounts are explicit capped variables rather than being
 identified with the outflow: identifying them makes the system infeasible
@@ -68,8 +68,65 @@ def _leaving_arcs(dig: BidirectedGraph, members: frozenset[int]) -> list[int]:
     return sorted(a for u in members for a in dig.out_arcs[u] if arcs[a][1] not in members)
 
 
-class LpModel:
-    """The flow LP, whose one persistent HiGHS model is its only row store.
+class HighsModel:
+    """One persistent HiGHS model, output off, that checks every status the binding returns."""
+
+    def __init__(self, **options):
+        self._highs = _Highs()
+        self._check(self._highs.setOptionValue("output_flag", False))
+        for name, value in options.items():
+            self._check(self._highs.setOptionValue(name, value))
+
+    @staticmethod
+    def _check(status: HighsStatus) -> None:
+        if status == HighsStatus.kError:
+            raise InternalError("HiGHS rejected a model change or option")
+
+    def _add_cols(self, costs, upper, starts, index, values) -> None:
+        """Append columns with lower bound 0, their entries in CSC form."""
+        n = len(costs)
+        self._check(self._highs.addCols(n, costs, np.zeros(n), upper, len(index), starts, index, values))
+
+    def _add_rows(self, rows: list[Row]) -> None:
+        """Append rows to HiGHS in CSR form."""
+        starts: list[int] = []
+        indices: list[int] = []
+        values: list[float] = []
+        for cols, coefs, _, _ in rows:
+            starts.append(len(indices))
+            indices += cols
+            values += coefs
+        lower = np.array([r[2] for r in rows], dtype=float)
+        upper = np.array([r[3] for r in rows], dtype=float)
+        self._check(self._highs.addRows(
+            len(rows), lower, upper, len(indices),
+            np.array(starts, dtype=np.int32), np.array(indices, dtype=np.int32), np.array(values),
+        ))
+
+    def _optimum(self, what: str, error: type[Exception]) -> np.ndarray:
+        """Solve from the current basis; the column values of an optimum, else `error`."""
+        ran = self._highs.run()
+        status = self._highs.getModelStatus()
+        if ran == HighsStatus.kError or status != HighsModelStatus.kOptimal:
+            raise error(f"{what} not optimal: {self._highs.modelStatusToString(status)}")
+        return np.asarray(self._highs.getSolution().col_value)
+
+    def rows(self) -> list[tuple[dict[int, float], float, float]]:
+        """Every row as HiGHS holds it: ({column: coefficient}, lower, upper)."""
+        lp = self._highs.getLp()
+        matrix = lp.a_matrix_
+        rowwise = matrix.format_ == MatrixFormat.kRowwise
+        coefs: list[dict[int, float]] = [{} for _ in range(lp.num_row_)]
+        start, index, value = matrix.start_, matrix.index_, matrix.value_
+        for major in range(len(start) - 1):
+            for p in range(start[major], start[major + 1]):
+                row, col = (major, index[p]) if rowwise else (index[p], major)
+                coefs[row][col] = value[p]
+        return list(zip(coefs, lp.row_lower_, lp.row_upper_))
+
+
+class LpModel(HighsModel):
+    """The flow LP, whose HiGHS model is its only row store.
 
     Column i*num_arcs + a is the flow of commodity i on arc a; the coverage
     amounts z[i, v] follow, commodity by commodity, over `cover_vertices`.
@@ -103,38 +160,12 @@ class LpModel:
         self._cover_columns[:, self.cover_vertices] = cover_range.reshape(k, -1)
         self.cuts: list[CutConstraint] = []
         self._cut_set: set[CutConstraint] = set()
-        self._highs = _Highs()
-        self._check(self._highs.setOptionValue("output_flag", False))
-        self._check(self._highs.setOptionValue("simplex_dual_edge_weight_strategy", DUAL_EDGE_WEIGHTS))
+        super().__init__(simplex_dual_edge_weight_strategy=DUAL_EDGE_WEIGHTS)
         costs = np.zeros(self.num_columns)
         costs[: self.num_flow_columns] = 1.0
-        no_entries = np.zeros(self.num_columns, dtype=np.int32)
-        self._check(self._highs.addCols(
-            self.num_columns, costs, np.zeros(self.num_columns), np.full(self.num_columns, kHighsInf),
-            0, no_entries, np.zeros(0, dtype=np.int32), np.zeros(0),
-        ))
+        self._add_cols(costs, np.full(self.num_columns, kHighsInf), np.zeros(self.num_columns, dtype=np.int32),
+                       np.zeros(0, dtype=np.int32), np.zeros(0))
         self._add_rows(self._static_rows())
-
-    @staticmethod
-    def _check(status: HighsStatus) -> None:
-        if status == HighsStatus.kError:
-            raise InternalError("HiGHS rejected a model change or option")
-
-    def _add_rows(self, rows: list[Row]) -> None:
-        """Append rows to HiGHS in CSR form."""
-        starts: list[int] = []
-        indices: list[int] = []
-        values: list[float] = []
-        for cols, coefs, _, _ in rows:
-            starts.append(len(indices))
-            indices += cols
-            values += coefs
-        lower = np.array([r[2] for r in rows], dtype=float)
-        upper = np.array([r[3] for r in rows], dtype=float)
-        self._check(self._highs.addRows(
-            len(rows), lower, upper, len(indices),
-            np.array(starts, dtype=np.int32), np.array(indices, dtype=np.int32), np.array(values),
-        ))
 
     def _cover_row(self, i: int, v: int, arcs: list[int] | tuple[int, ...]) -> Row:
         """x_i(arcs) - z[i, v] >= 0."""
@@ -181,29 +212,12 @@ class LpModel:
             self._add_rows(rows)
         return len(rows)
 
-    def rows(self) -> list[tuple[dict[int, float], float, float]]:
-        """Every row as HiGHS holds it: ({column: coefficient}, lower, upper)."""
-        lp = self._highs.getLp()
-        matrix = lp.a_matrix_
-        rowwise = matrix.format_ == MatrixFormat.kRowwise
-        coefs: list[dict[int, float]] = [{} for _ in range(lp.num_row_)]
-        start, index, value = matrix.start_, matrix.index_, matrix.value_
-        for major in range(len(start) - 1):
-            for p in range(start[major], start[major + 1]):
-                row, col = (major, index[p]) if rowwise else (index[p], major)
-                coefs[row][col] = value[p]
-        return list(zip(coefs, lp.row_lower_, lp.row_upper_))
-
     def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Re-optimize the current rows; returns (flows, cover, objective)."""
         k, num_arcs, n = self.instance.k, self.digraph.num_arcs, self.instance.graph.n
         if self.num_columns == 0:
             return np.zeros((k, num_arcs)), np.zeros((k, n)), 0.0
-        self._highs.run()
-        status = self._highs.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
-            raise LpError(f"LP backend infeasible or failed: {self._highs.modelStatusToString(status)}")
-        x = np.maximum(np.asarray(self._highs.getSolution().col_value), 0.0)
+        x = np.maximum(self._optimum("flow LP", LpError), 0.0)
         flows = x[: self.num_flow_columns].reshape(k, num_arcs)
         cover = np.where(self._cover_columns >= 0, x[self._cover_columns], 0.0)
         return flows, cover, float(flows.sum())

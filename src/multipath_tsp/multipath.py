@@ -28,6 +28,8 @@ from .graphs import Graph, all_pairs_distances
 from .instances import AnyInstance, Instance, Solution, validate_solution
 from .lp import EPS_OBJ, FractionalSolution, solve_lp
 
+EPS_TIE = 1e-12  # derandomize_choices keeps the lower path index unless another beats it by more
+
 
 @dataclass(frozen=True)
 class CostReport:
@@ -277,7 +279,7 @@ def derandomize_choices(dec: Decomposition, mass: np.ndarray) -> tuple[list[int 
         for j, p in enumerate(dec.paths[h]):
             saved = sum(sp[h + 1, v] for v in set(p.vertices) & outside)
             val = len(p.arcs) + 2.0 * (base - saved)
-            if best_val is None or val < best_val - 1e-12:
+            if best_val is None or val < best_val - EPS_TIE:
                 best_val = val
                 best_j = j
         choices.append(best_j)

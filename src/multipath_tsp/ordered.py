@@ -51,8 +51,3 @@ def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport
     if not ok:
         raise InternalError(f"ordered solver produced an invalid solution: {why}")
     return sol, report, join
-
-
-def solve_ordered(inst: OrderedInstance, seed: int) -> tuple[Solution, CostReport]:
-    sol, report, _ = run_ordered_trial(prepare(inst), seed)
-    return sol, report

@@ -26,7 +26,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InternalError, LpError
 from .graphs import FLOW_EPS, BidirectedGraph, CapacitatedNetwork, Graph, all_pairs_distances, descend, min_cut
-from .lp import EPS_OBJ, EPS_SEP, MAX_CUT_ROUNDS, HighsModelStatus, _Highs, kHighsInf
+from .lp import EPS_OBJ, EPS_SEP, MAX_CUT_ROUNDS, HighsModel, kHighsInf
 
 MATCH_DP_MAX = 12  # most odd-cycle vertices the bitmask DP matches; the odd-set LP takes over above it
 
@@ -214,32 +214,21 @@ def odd_set_pairs(weight) -> list[tuple[int, int]]:
     ends = np.column_stack(np.triu_indices(t, 1)).astype(np.int32)  # the pairs a < b, in increasing order
     m = len(ends)
     cost = np.asarray(weight, dtype=float)[ends[:, 0], ends[:, 1]]
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")  # a first solve of these small LPs is faster without it
+    model = HighsModel(presolve="off")  # a first solve of these small LPs is faster without it
     # the degree rows, empty until each column brings its entries in rows a and b
-    no_entries = np.zeros(0, dtype=np.int32)
-    highs.addRows(t, np.ones(t), np.ones(t), 0, np.zeros(t, dtype=np.int32), no_entries, np.zeros(0))
-    highs.addCols(m, cost, np.zeros(m), np.ones(m), 2 * m, np.arange(0, 2 * m, 2, dtype=np.int32), ends.ravel(),
-                  np.ones(2 * m))
+    model._add_rows([([], [], 1.0, 1.0)] * t)
+    model._add_cols(cost, np.ones(m), np.arange(0, 2 * m, 2, dtype=np.int32), ends.ravel(), np.ones(2 * m))
     added: set[bytes] = set()
     for _ in range(MAX_CUT_ROUNDS):
-        highs.run()
-        status = highs.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
-            raise InternalError(f"matching LP not optimal: {highs.modelStatusToString(status)}")
-        x = np.asarray(highs.getSolution().col_value)
+        x = model._optimum("matching LP", InternalError)
         if np.all(np.abs(x - np.rint(x)) <= EPS_SEP):
             break
         cuts = [inside for inside in _odd_cuts(t, ends, x) if inside.tobytes() not in added]
         if not cuts:
             raise InternalError("the matching LP is fractional, but no odd set is violated")
         added.update(inside.tobytes() for inside in cuts)
-        rows = [np.flatnonzero(inside[ends[:, 0]] != inside[ends[:, 1]]) for inside in cuts]
-        index = np.concatenate(rows).astype(np.int32)
-        starts = np.cumsum([0] + [len(row) for row in rows[:-1]], dtype=np.int32)
-        highs.addRows(len(rows), np.ones(len(rows)), np.full(len(rows), kHighsInf), len(index), starts, index,
-                      np.ones(len(index)))
+        rows = [np.flatnonzero(inside[ends[:, 0]] != inside[ends[:, 1]]).tolist() for inside in cuts]
+        model._add_rows([(row, [1.0] * len(row), 1.0, kHighsInf) for row in rows])
     else:
         raise LpError(f"iteration limit exceeded ({MAX_CUT_ROUNDS} odd-set rounds)")
     matched = [(int(a), int(b)) for a, b in ends[x > 0.5]]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import multipath_tsp.lp as lp
-from multipath_tsp.errors import InternalError, OracleLimitError
+from multipath_tsp.errors import InternalError, LpError, OracleLimitError
 from multipath_tsp.exact import exact_opt
 from multipath_tsp.graphs import BidirectedGraph, Graph
 from multipath_tsp.instances import Instance
@@ -18,6 +18,7 @@ from multipath_tsp.lp import (
     EPS_SEP,
     CutConstraint,
     FractionalSolution,
+    HighsModel,
     LpModel,
     _leaving_arcs,
     separate,
@@ -156,6 +157,28 @@ class TestHighsOptions:
         monkeypatch.setattr(lp, "DUAL_EDGE_WEIGHTS", 3)
         with pytest.raises(InternalError):
             LpModel(path3)
+
+    def test_rejected_presolve_value_raises(self):
+        # HiGHS answers kError for a value outside off, choose and on
+        with pytest.raises(InternalError):
+            HighsModel(presolve="bogus")
+
+    def test_columns_and_rows_read_back(self):
+        # the matching LP's order: empty rows, then columns bringing their entries in CSC form, then rows
+        model = HighsModel()
+        model._add_rows([([], [], 1.0, 1.0), ([], [], 2.0, 2.0)])
+        model._add_cols(np.ones(3), np.array([1.0, 1.0, math.inf]), np.array([0, 2, 3], dtype=np.int32),
+                        np.array([0, 1, 1], dtype=np.int32), np.array([1.0, -1.0, 3.0]))
+        model._add_rows([([0, 2], [1.0, 2.0], 0.0, math.inf)])
+        assert model.rows() == [
+            ({0: 1.0}, 1.0, 1.0),
+            ({0: -1.0, 1: 3.0}, 2.0, 2.0),
+            ({0: 1.0, 2: 2.0}, 0.0, math.inf),
+        ]
+        assert model._optimum("tiny LP", LpError).tolist() == [1.0, 1.0, 0.0]
+        model._add_rows([([0], [1.0], 2.0, math.inf)])  # x0 >= 2 against row 0's x0 = 1: infeasible
+        with pytest.raises(LpError, match="tiny LP not optimal"):
+            model._optimum("tiny LP", LpError)
 
     def test_missing_binding_names_the_scipy_version(self):
         # the binding is a private scipy module; where a release lacks it, the

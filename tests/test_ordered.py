@@ -14,7 +14,6 @@ from multipath_tsp.ordered import (
     extract_ordered_walks,
     prepare_ordered,
     run_ordered_trial,
-    solve_ordered,
     validate_ordered,
 )
 
@@ -33,7 +32,7 @@ def fig1_ordered(fig1):
 
 class TestSolveOrdered:
     def test_triangle_is_tight(self, triangle):
-        sol, report = solve_ordered(triangle, 0)
+        sol, report = run_ordered_trial(prepare(triangle), 0)[:2]
         assert sol.walks == ((0, 1), (1, 2), (2, 0))
         assert sol.cost == 3
         assert report.parity == 0 and report.reconnection == 0
@@ -77,7 +76,7 @@ class TestSolveOrdered:
 
     def test_order_preserved(self):
         for inst in random_instances("ordered", 15, seed=41, n_max=9):
-            sol, _ = solve_ordered(inst, 5)
+            sol, _ = run_ordered_trial(prepare(inst), 5)[:2]
             ok, why = validate_ordered(inst, sol)
             assert ok, why
             for i, walk in enumerate(sol.walks):
@@ -173,7 +172,7 @@ class TestExtraction:
 
 class TestValidateOrdered:
     def test_accepts_solver_output(self, fig1_ordered):
-        sol, _ = solve_ordered(fig1_ordered, 3)
+        sol, _ = run_ordered_trial(prepare(fig1_ordered), 3)[:2]
         ok, why = validate_ordered(fig1_ordered, sol)
         assert ok, why
         base = Instance(fig1_ordered.graph, fig1_ordered.commodities)
