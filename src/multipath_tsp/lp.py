@@ -12,6 +12,16 @@ row (j, v, U) too, and adding it ahead of time spares the rounds that would
 find the same (v, U) once per commodity. `HighsModel` is the one user of
 scipy's HiGHS binding: this LP and the parity join's matching LP share it.
 
+This is the package's one scipy import. It needs two of scipy's compiled
+modules, the HiGHS binding and `linear_sum_assignment` (the parity join's
+assignment bound), and `_extension` loads each straight from its file under
+the scipy package. Importing either by name would first run
+`scipy/optimize/__init__.py`, which loads all of scipy.optimize, scipy.linalg
+and scipy.sparse: about 550 modules and 45 MB under scipy 1.17.1, most of a
+small CLI call's start-up. The loaded modules are not entered in
+`sys.modules`, so a later `import scipy.optimize` imports its submodules as
+usual, and Python's extension cache hands it the same compiled objects.
+
 Note the coverage amounts are explicit capped variables rather than being
 identified with the outflow: identifying them makes the system infeasible
 whenever covering a vertex forces revisits (any tree with a branch vertex),
@@ -21,19 +31,48 @@ leaves all guarantees driven by the derived outflow quantities intact.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from typing import Callable, Iterable
 
 import numpy as np
+import scipy  # runs only scipy's own version checks and set-up, not scipy.optimize
 
-try:  # the package's one import of this private module: a scipy release may move it
-    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kHighsInf
-except ImportError as exc:
-    import scipy
 
+def _extension(name: str):
+    """scipy's compiled module `name`: the one in `sys.modules` if any, else loaded from its file."""
+    if name in sys.modules:
+        module = sys.modules[name]
+        if module is None:
+            raise ImportError(f"import of {name} halted; None in sys.modules")
+        return module
+    stem = os.path.join(scipy.__path__[0], *name.split(".")[1:])
+    for suffix in EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            loader = ExtensionFileLoader(name, stem + suffix)
+            module = module_from_spec(spec_from_file_location(name, stem + suffix, loader=loader))
+            loader.exec_module(module)
+            # a single-phase extension (scipy's _lsap) enters itself in sys.modules on creation; left
+            # there, a later `import scipy.optimize._lsap` would find it and never set it on its package
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
+            return module
+    raise ImportError(f"no compiled file for {name} under {scipy.__path__[0]}")
+
+
+try:  # private modules at fixed paths under scipy/optimize/: a scipy release may move them
+    _core = _extension("scipy.optimize._highspy._core")
+    HighsModelStatus, HighsStatus, MatrixFormat, _Highs, kHighsInf = (
+        _core.HighsModelStatus, _core.HighsStatus, _core.MatrixFormat, _core._Highs, _core.kHighsInf)
+    linear_sum_assignment = _extension("scipy.optimize._lsap").linear_sum_assignment
+except (ImportError, AttributeError) as exc:
     raise ImportError(
-        "multipath_tsp needs scipy's HiGHS binding, scipy.optimize._highspy._core, which scipy "
-        f"{scipy.__version__} does not provide; it is tested with scipy 1.15 and later"
+        "multipath_tsp needs scipy's HiGHS binding, scipy.optimize._highspy._core, and its assignment "
+        f"solver, scipy.optimize._lsap, which scipy {scipy.__version__} does not provide; it is tested "
+        "with scipy 1.15 and later"
     ) from exc
 
 from .errors import InternalError, LpError

@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InternalError, LpError
 from .graphs import FLOW_EPS, BidirectedGraph, CapacitatedNetwork, Graph, all_pairs_distances, descend, min_cut
-from .lp import EPS_OBJ, EPS_SEP, MAX_CUT_ROUNDS, HighsModel, kHighsInf
+from .lp import EPS_OBJ, EPS_SEP, MAX_CUT_ROUNDS, HighsModel, kHighsInf, linear_sum_assignment
 
 MATCH_DP_MAX = 12  # most odd-cycle vertices the bitmask DP matches; the odd-set LP takes over above it
 

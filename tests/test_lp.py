@@ -25,7 +25,7 @@ from multipath_tsp.lp import (
     solve_lp,
 )
 
-from conftest import random_instances
+from conftest import DATA, random_instances
 from oracles import brute_force_cut_check
 
 
@@ -195,6 +195,74 @@ class TestHighsOptions:
         )
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stdout + run.stderr
+
+
+def run_python(code):
+    """Exit status 0 of `code` in a fresh interpreter, else the failure with its output."""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+class TestScipyLoad:
+    """lp.py loads scipy's HiGHS binding and assignment solver from their files, never scipy.optimize."""
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # in that interpreter the fig1 LP solves to 8 (proven in tests/conftest.py), and the
+        # join of fig1's 0 and 2 is one pair, which the assignment bound certifies
+        run_python(
+            "import sys\n"
+            "import multipath_tsp.cli\n"
+            "from multipath_tsp import lp, parity\n"
+            "from multipath_tsp.instances import load_instance\n"
+            f"inst = load_instance(open({str(DATA / 'fig1.json')!r}).read())\n"
+            "assert abs(lp.solve_lp(inst).objective - 8) <= lp.EPS_OBJ\n"
+            "calls = []\n"
+            "parity.linear_sum_assignment = lambda w: calls.append(w) or lp.linear_sum_assignment(w)\n"
+            "def refuse(weight):\n"
+            "    raise AssertionError('the assignment bound did not certify the join')\n"
+            "parity.odd_set_pairs = refuse\n"
+            "assert parity.min_tjoin(inst.graph, [0, 2]).cost == 3 and len(calls) == 1\n"
+            "loaded = {'scipy.optimize', 'scipy.optimize._highspy._core', 'scipy.optimize._lsap'} & sys.modules.keys()\n"
+            "sys.exit(sorted(loaded) or None)\n"
+        )
+
+    @pytest.mark.parametrize("form", [
+        "import scipy.optimize._highspy._core as c\nassert c._Highs is lp._Highs",
+        "from scipy.optimize._highspy import _core\nassert _core._Highs is lp._Highs",
+        "import scipy.optimize._highspy._core\nassert scipy.optimize._highspy._core._Highs is lp._Highs",
+        "from scipy.optimize import linear_sum_assignment\nassert linear_sum_assignment is lp.linear_sum_assignment",
+        "import scipy.optimize._lsap\nassert scipy.optimize._lsap.linear_sum_assignment is lp.linear_sum_assignment",
+        "import scipy.optimize\n"
+        "r = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method='highs')\n"
+        "assert r.status == 0 and r.fun == 1",
+    ])
+    def test_scipy_optimize_imports_after_the_package(self, form):
+        # the modules lp.py loaded are the ones a later import of scipy.optimize finds
+        run_python("import multipath_tsp.lp as lp\n" + form)
+
+    def test_package_reuses_scipy_optimize_imported_first(self):
+        run_python(
+            "import scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "from scipy.optimize import linear_sum_assignment\n"
+            "import multipath_tsp.lp as lp\n"
+            "assert lp._core is _core and lp.linear_sum_assignment is linear_sum_assignment\n"
+        )
+
+    def test_scipy_without_the_compiled_files(self, tmp_path):
+        # a scipy tree whose compiled modules are not where lp.py looks fails with the coded error
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0.0"\n')
+        run_python(
+            "import sys\n"
+            f"sys.path.insert(0, {str(tmp_path)!r})\n"
+            "try:\n"
+            "    import multipath_tsp\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n"
+            "    sys.exit(not ('scipy 0.0 ' in str(exc) and 'scipy 1.15 and later' in str(exc)))\n"
+            "sys.exit(2)\n"
+        )
 
 
 class TestSolveValues:
