@@ -25,7 +25,7 @@ class Graph:
     Connectivity is *not* enforced here; instance loading checks it.
     """
 
-    __slots__ = ("n", "edges", "adj", "_edge_index")
+    __slots__ = ("n", "edges", "adj", "_edge_index", "_arcs")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 1:
@@ -54,6 +54,16 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """Both orientations (u, v) and (v, u) of every edge, built on first
+        use, so constructing a graph never pays for it."""
+        try:
+            return self._arcs
+        except AttributeError:
+            self._arcs = frozenset(self.edges).union([(v, u) for u, v in self.edges])
+            return self._arcs
 
     def edge_id(self, u: int, v: int) -> int:
         """Index of edge {u,v}; raises KeyError if absent."""
@@ -102,10 +112,15 @@ def descend(g: Graph, dist: list[int], u: int) -> list[int]:
     if dist[u] == UNREACHED:
         raise InstanceError("disconnected", f"no path from {u} to the source of this BFS row")
     path = [u]
-    cur = u
-    while dist[cur]:
-        cur = next(w for w in g.adj[cur] if dist[w] == dist[cur] - 1)
-        path.append(cur)
+    adj = g.adj
+    for closer in range(dist[u] - 1, -1, -1):
+        for w in adj[u]:
+            if dist[w] == closer:
+                break
+        else:
+            raise ValueError(f"vertex {u} has no neighbor at distance {closer}: not a BFS row")
+        u = w
+        path.append(u)
     return path
 
 

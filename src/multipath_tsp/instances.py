@@ -115,22 +115,23 @@ def validate_solution(inst: AnyInstance, sol: Solution) -> tuple[bool, str | Non
     g = inst.graph
     if len(sol.walks) != inst.k:
         return False, "walk count mismatch"
+    arcs = g.arcs
     covered: set[int] = set()
     cost = 0
-    for i, (s, t) in enumerate(inst.commodities):
-        walk = sol.walks[i]
+    for walk, (s, t) in zip(sol.walks, inst.commodities):
         if len(walk) == 0:
             return False, "empty walk"
         if walk[0] != s:
             return False, "wrong start"
         if walk[-1] != t:
             return False, "wrong end"
-        for u, v in zip(walk, walk[1:]):
-            if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-                return False, "not an edge"
+        if not arcs.issuperset(zip(walk, walk[1:])):
+            return False, "not an edge"
         covered.update(walk)
         cost += len(walk) - 1
-    if covered != set(range(g.n)):
+    # every walk vertex is now an edge end or its commodity's source, so in
+    # 0..n-1, and the walks cover all n vertices exactly if n are covered
+    if len(covered) != g.n:
         return False, "uncovered vertex"
     if cost != sol.cost:
         return False, "cost mismatch"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -112,21 +113,33 @@ def sample_paths(dec: Decomposition, seed: int) -> list[int | None]:
 
 def attachment_order(graph: Graph, covered: set[int]) -> list[tuple[int, int]]:
     """Deterministic reconnection schedule: repeatedly attach the lowest
-    pending vertex that has a covered neighbor, via its lowest such neighbor."""
-    covered = set(covered)
+    pending vertex that has a covered neighbor, via its lowest such neighbor.
+
+    A heap holds the pending vertices that have a covered neighbor; attaching
+    one covers it and queues its pending neighbors, so the schedule takes
+    O((n + m) log n). `covered` is read, never changed."""
+    adj = graph.adj
     pending = [v for v in range(graph.n) if v not in covered]
+    # ascending, so already a heap
+    heap = [v for v in pending if not covered.isdisjoint(adj[v])]
+    queued = set(heap)
+    attached: set[int] = set()
     steps: list[tuple[int, int]] = []
-    while pending:
-        for i, v in enumerate(pending):
-            # `graph.adj` is sorted, so the first covered neighbor is the lowest
-            w = next((w for w in graph.adj[v] if w in covered), None)
-            if w is not None:
+    while heap:
+        v = heappop(heap)
+        # `graph.adj` is sorted, so the first covered neighbor is the lowest;
+        # v was queued for having one
+        for w in adj[v]:
+            if w in covered or w in attached:
                 break
-        else:
-            raise InternalError("no pending vertex has a covered neighbor; graph not connected?")
         steps.append((v, w))
-        covered.add(v)
-        del pending[i]
+        attached.add(v)
+        for u in adj[v]:
+            if u not in queued and u not in covered:
+                queued.add(u)
+                heappush(heap, u)
+    if len(steps) != len(pending):
+        raise InternalError("no pending vertex has a covered neighbor; graph not connected?")
     return steps
 
 
@@ -151,20 +164,23 @@ def splice_excursions(walks, extra) -> Solution:
     for tok, (u, v) in enumerate(extra):
         incident.setdefault(u, []).append((v, tok))
         incident.setdefault(v, []).append((u, tok))
-    if any(len(lst) % 2 for lst in incident.values()):
-        raise InternalError("parity violation: extra edges must have even degree everywhere")
     for lst in incident.values():
+        if len(lst) % 2:
+            raise InternalError("parity violation: extra edges must have even degree everywhere")
         lst.sort(reverse=True)  # the lowest (neighbor, token) pops first
 
-    walks = [list(w) for w in walks]
     want = sum(len(w) - 1 for w in walks) + len(extra)
     first: dict[int, tuple[int, int]] = {}
     unseen = set(incident)
     for i, walk in enumerate(walks):
-        hit = unseen.intersection(walk)
-        for v in hit:
-            first[v] = (i, walk.index(v))
-        unseen -= hit
+        if not unseen:
+            break
+        if unseen.isdisjoint(walk):
+            continue
+        for pos, v in enumerate(walk):
+            if v in unseen:
+                unseen.remove(v)
+                first[v] = (i, pos)
     # Every degree is even, so a circuit uses up its whole component and the
     # ascending scan reaches each component first at its lowest on-walk vertex.
     used: set[int] = set()
@@ -189,13 +205,17 @@ def splice_excursions(walks, extra) -> Solution:
             excursions[first[start]] = circuit
     if len(used) != len(extra):
         raise InternalError("disconnected union: extra edges share no vertex with any walk")
-    # splice from the back so the recorded positions stay valid
-    for i, pos in sorted(excursions, reverse=True):
-        walks[i][pos + 1:pos + 1] = excursions[i, pos][1:]
-    cost = sum(len(w) - 1 for w in walks)
+    # rebuild the walks that take excursions, from the back so the recorded
+    # positions stay valid; the others are copied only into the result
+    spliced = list(walks)
+    for (i, pos), circuit in sorted(excursions.items(), reverse=True):
+        walk = spliced[i]
+        spliced[i] = (*walk[:pos], *circuit, *walk[pos + 1:])
+    spliced = tuple(map(tuple, spliced))
+    cost = sum(len(w) - 1 for w in spliced)
     if cost != want:
         raise InternalError(f"the splice changed the edge count: {cost} != {want}")
-    return Solution(tuple(tuple(w) for w in walks), cost)
+    return Solution(spliced, cost)
 
 
 def reconnect(inst: AnyInstance, walks: list[list[int]]) -> Solution:

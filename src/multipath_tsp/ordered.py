@@ -40,7 +40,7 @@ def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport
     inst = plan.instance
     g = inst.graph
     walks = chosen_walks(plan.decomposition, sample_paths(plan.decomposition, seed))
-    steps = attachment_order(g, {v for walk in walks for v in walk})
+    steps = attachment_order(g, set().union(*walks))
     join = min_tjoin(g, odd_vertices(steps), plan.dists)
     sol = splice_excursions(walks, steps + [g.edges[e] for e in join.edges])
     sampling = sum(len(w) - 1 for w in walks)

@@ -14,12 +14,14 @@ a DP over bitmasks whose states grow like 2^k, so only up to `MATCH_DP_MAX`
 vertices). A repair that meets the bound is optimal. Sets the bound cannot
 certify, or whose odd cycles hold more than `MATCH_DP_MAX` vertices, go to
 `odd_set_pairs`: the matching LP with Edmonds' odd-set rows (1965) on HiGHS,
-separated exactly by the Padberg-Rao odd cuts of a Gomory-Hu tree (1982).
+seeded with the assignment's odd cycles and then separated exactly by the
+Padberg-Rao odd cuts of a Gomory-Hu tree (1982).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -95,51 +97,65 @@ def min_weight_pairs(weight) -> list[tuple[int, int]]:
     return pairs
 
 
-def certified_pairs(weight) -> list[tuple[int, int]] | None:
-    """Minimum-weight perfect matching of 0..t-1 under the symmetric integer
-    `weight` matrix (t even, at least 2) if an assignment bound certifies it,
-    else None.
-
-    A perfect matching used in both directions is an assignment without fixed
-    points, so the least such assignment, A, is at most twice the matching
-    and, weights being integers, (A + 1) // 2 bounds it from below. Its
-    permutation is repaired into a matching: a 2-cycle is a pair, a longer
-    even cycle gives its cheaper alternate half (on a tie, the half that pairs
-    the cycle's lowest vertex with its lower neighbour on the cycle), and the
-    vertices of all odd cycles are matched by `min_weight_pairs` if there are
-    at most `MATCH_DP_MAX` of them. The repair is returned, as pairs (a, b)
-    with a < b, only if it weighs at most the bound.
-    """
+def assignment_cycles(weight) -> list[list[int]]:
+    """The cycles of the least assignment of 0..t-1 to itself without fixed
+    points under the `weight` matrix (t at least 2), each listed in assignment
+    order from its lowest vertex, in increasing order of that vertex."""
     padded = np.array(weight, dtype=float)
-    np.fill_diagonal(padded, np.inf)  # forbids fixed points
+    padded.flat[::len(padded) + 1] = np.inf  # the diagonal: forbids fixed points
     perm = linear_sum_assignment(padded)[1].tolist()
-    bound = (sum(row[j] for row, j in zip(weight, perm)) + 1) // 2
-    pairs = []
-    odd = []
-    total = 0
+    cycles = []
     seen = [False] * len(perm)
     for low, succ in enumerate(perm):
         if seen[low]:
-            continue
-        if perm[succ] == low:
-            seen[succ] = True
-            pairs.append((low, succ))
-            total += weight[low][succ]
             continue
         cycle = [low]
         while succ != low:
             seen[succ] = True
             cycle.append(succ)
             succ = perm[succ]
+        cycles.append(cycle)
+    return cycles
+
+
+def certified_pairs(weight, cycles: list[list[int]] | None = None) -> list[tuple[int, int]] | None:
+    """Minimum-weight perfect matching of 0..t-1 under the symmetric integer
+    `weight` matrix (t even, at least 2) if an assignment bound certifies it,
+    else None. `cycles` may carry the `assignment_cycles` of `weight`.
+
+    A perfect matching used in both directions is an assignment without fixed
+    points, so the least such assignment, A, is at most twice the matching
+    and, weights being integers, (A + 1) // 2 bounds it from below. Its
+    cycles are repaired into a matching: a 2-cycle is a pair, a longer even
+    cycle gives its cheaper alternate half (on a tie, the half that pairs the
+    cycle's lowest vertex with its lower neighbour on the cycle), and the
+    vertices of all odd cycles are matched by `min_weight_pairs` if there are
+    at most `MATCH_DP_MAX` of them. The repair is returned, as pairs (a, b)
+    with a < b, only if it weighs at most the bound.
+    """
+    if cycles is None:
+        cycles = assignment_cycles(weight)
+    assigned = 0
+    pairs = []
+    odd = []
+    total = 0
+    for cycle in cycles:
+        if len(cycle) == 2:
+            low, succ = cycle
+            pairs.append((low, succ))
+            total += weight[low][succ]
+            assigned += 2 * weight[low][succ]
+            continue
+        around = sum(weight[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        assigned += around
         if len(cycle) % 2:
             odd += cycle
             continue
         half = list(zip(cycle[0::2], cycle[1::2]))
-        other = list(zip(cycle[1::2], cycle[2::2] + [low]))
+        other = list(zip(cycle[1::2], cycle[2::2] + cycle[:1]))
         cost = sum(weight[a][b] for a, b in half)
-        other_cost = sum(weight[a][b] for a, b in other)
-        if other_cost < cost or (other_cost == cost and cycle[-1] < cycle[1]):
-            half, cost = other, other_cost
+        if around - cost < cost or (around - cost == cost and cycle[-1] < cycle[1]):
+            half, cost = other, around - cost
         pairs += [(a, b) if a < b else (b, a) for a, b in half]
         total += cost
     if len(odd) > MATCH_DP_MAX:
@@ -149,7 +165,16 @@ def certified_pairs(weight) -> list[tuple[int, int]] | None:
         for i, j in min_weight_pairs([[weight[a][b] for b in odd] for a in odd]):
             pairs.append((odd[i], odd[j]))
             total += weight[odd[i]][odd[j]]
-    return pairs if total <= bound else None
+    return pairs if total <= (assigned + 1) // 2 else None
+
+
+def _side(t: int, members) -> np.ndarray:
+    """A vertex set of 0..t-1 as a boolean mask that leaves out vertex 0 (the
+    set and its complement give the same odd-set row)."""
+    inside = np.zeros(t, dtype=bool)
+    inside[members] = True
+    inside ^= inside[0]
+    return inside
 
 
 def _odd_cuts(t: int, ends: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
@@ -190,20 +215,20 @@ def _odd_cuts(t: int, ends: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     cuts: dict[bytes, np.ndarray] = {}
     for side in sides:
         if len(side) % 2:
-            inside = np.zeros(t, dtype=bool)
-            inside[side] = True
-            inside ^= inside[0]
+            inside = _side(t, side)
             if x[inside[ends[:, 0]] != inside[ends[:, 1]]].sum() < 1 - EPS_SEP:
                 cuts[inside.tobytes()] = inside
     return list(cuts.values())
 
 
-def odd_set_pairs(weight) -> list[tuple[int, int]]:
+def odd_set_pairs(weight, odd_sets=()) -> list[tuple[int, int]]:
     """Minimum-weight perfect matching of 0..t-1 (t even, at least 2) under the
     symmetric integer `weight` matrix, as a cutting-plane LP on HiGHS.
 
     One column x_ab in [0, 1] of cost weight[a][b] per pair a < b, one row
-    x(δ(v)) = 1 per vertex, then Edmonds' rows x(δ(S)) >= 1 for the odd sets S
+    x(δ(v)) = 1 per vertex, and Edmonds' rows x(δ(S)) >= 1: first for the odd
+    sets in `odd_sets` (`min_tjoin` passes the odd cycles of the assignment,
+    each a set the assignment's fractional half violates), then for those
     that `_odd_cuts` finds violated, round by round until x is integral. A
     vertex of this LP that satisfies every odd-set row is a vertex of the
     perfect-matching polytope, so the integral x is an optimal matching.
@@ -218,6 +243,16 @@ def odd_set_pairs(weight) -> list[tuple[int, int]]:
     model._add_rows([([], [], 1.0, 1.0)] * t)
     model._add_cols(cost, np.ones(m), np.arange(0, 2 * m, 2, dtype=np.int32), ends.ravel(), np.ones(2 * m))
     added: set[bytes] = set()
+
+    def add_odd_set_rows(sides) -> None:
+        rows = []
+        for inside in sides:
+            if inside.tobytes() not in added:  # two disjoint odd sets can be each other's complement
+                added.add(inside.tobytes())
+                rows.append(np.flatnonzero(inside[ends[:, 0]] != inside[ends[:, 1]]).tolist())
+        model._add_rows([(row, [1.0] * len(row), 1.0, kHighsInf) for row in rows])
+
+    add_odd_set_rows(_side(t, members) for members in odd_sets)
     for _ in range(MAX_CUT_ROUNDS):
         x = model._optimum("matching LP", InternalError)
         if np.all(np.abs(x - np.rint(x)) <= EPS_SEP):
@@ -225,9 +260,7 @@ def odd_set_pairs(weight) -> list[tuple[int, int]]:
         cuts = [inside for inside in _odd_cuts(t, ends, x) if inside.tobytes() not in added]
         if not cuts:
             raise InternalError("the matching LP is fractional, but no odd set is violated")
-        added.update(inside.tobytes() for inside in cuts)
-        rows = [np.flatnonzero(inside[ends[:, 0]] != inside[ends[:, 1]]).tolist() for inside in cuts]
-        model._add_rows([(row, [1.0] * len(row), 1.0, kHighsInf) for row in rows])
+        add_odd_set_rows(cuts)
     else:
         raise LpError(f"iteration limit exceeded ({MAX_CUT_ROUNDS} odd-set rounds)")
     matched = [(int(a), int(b)) for a, b in ends[x > 0.5]]
@@ -245,7 +278,8 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
     Requires an even set of distinct vertices in a connected graph. `dists` may carry a
     precomputed BFS distance matrix to avoid recomputation in hot loops. The odd
     vertices are matched by `certified_pairs` where the assignment bound certifies
-    its repair, else by the odd-set LP of `odd_set_pairs`.
+    its repair, else by the odd-set LP of `odd_set_pairs`, which starts from the
+    rows of the assignment's odd cycles.
     """
     odd = tuple(sorted(odd))
     if len(set(odd)) != len(odd):
@@ -258,14 +292,15 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
         raise ValueError(f"vertex outside 0..{g.n - 1}: the target set of a join must lie in the graph")
     if dists is None:
         dists = all_pairs_distances(g)
-    weight = [[dists[a][b] for b in odd] for a in odd]
-    pairs = certified_pairs(weight)
+    rows = [dists[a] for a in odd]
+    pick = itemgetter(*odd)
+    weight = [pick(row) for row in rows]
+    cycles = assignment_cycles(weight)
+    pairs = certified_pairs(weight, cycles)
     if pairs is None:
-        pairs = odd_set_pairs(weight)
+        pairs = odd_set_pairs(weight, [cycle for cycle in cycles if len(cycle) % 2])
     edges: set[int] = set()
     for i, j in pairs:
-        a, b = odd[i], odd[j]
-        walk = descend(g, dists[b], a)
-        for u, v in zip(walk, walk[1:]):
-            edges.symmetric_difference_update({g.edge_id(u, v)})
+        walk = descend(g, rows[j], odd[i])
+        edges ^= set(map(g.edge_id, walk, walk[1:]))
     return TJoin(frozenset(edges))

@@ -4,13 +4,15 @@
 all vertex subsets (n <= 16); `tjoin_brute_force` finds a minimum join by
 Gray-code enumeration of all edge subsets (at most 22 edges);
 `pendant_anchors` finds the terminal-free pendant trees by rescanning every
-vertex until none can be stripped. The tests compare the separation, the
-parity join and the exact oracle's tie rule against them.
+vertex until none can be stripped; `attachment_order_rescan` builds the
+reconnection schedule by rescanning the pending vertices at every step. The
+tests compare the separation, the parity join, the exact oracle's tie rule and
+the reconnection schedule against them.
 """
 
 from __future__ import annotations
 
-from multipath_tsp.errors import OracleLimitError
+from multipath_tsp.errors import InternalError, OracleLimitError
 from multipath_tsp.graphs import Graph
 from multipath_tsp.instances import AnyInstance
 from multipath_tsp.lp import EPS_LP, FractionalSolution
@@ -98,3 +100,23 @@ def tjoin_brute_force(g: Graph, odd) -> tuple[int, frozenset[int]]:
     if best_size is None:
         raise ValueError("no join exists for the given target set")
     return best_size, frozenset(e for e in range(m) if best_subset >> e & 1)
+
+
+def attachment_order_rescan(g: Graph, covered) -> list[tuple[int, int]]:
+    """The reconnection schedule by its rule, in quadratic time: at every
+    step, scan the pending vertices in increasing order for the first with a
+    covered neighbor, and attach it via its lowest covered neighbor."""
+    covered = set(covered)
+    pending = [v for v in range(g.n) if v not in covered]
+    steps: list[tuple[int, int]] = []
+    while pending:
+        for i, v in enumerate(pending):
+            w = next((w for w in g.adj[v] if w in covered), None)
+            if w is not None:
+                break
+        else:
+            raise InternalError("no pending vertex has a covered neighbor; graph not connected?")
+        steps.append((v, w))
+        covered.add(v)
+        del pending[i]
+    return steps

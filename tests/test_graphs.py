@@ -12,6 +12,7 @@ from multipath_tsp.graphs import (
     CapacitatedNetwork,
     Graph,
     bfs_distances,
+    descend,
     is_connected,
     min_cut,
     shortest_path,
@@ -83,6 +84,13 @@ class TestGraphConstruction:
         assert g.edge_id(1, 2) == g.edge_id(2, 1) == 0
         assert g.edges[0] == (1, 2)
 
+    def test_arcs_hold_both_orientations_built_on_first_use(self):
+        g = Graph(4, [[2, 1], [0, 3]])
+        assert not hasattr(g, "_arcs")  # construction does not build them
+        assert g.arcs == {(1, 2), (2, 1), (0, 3), (3, 0)}
+        assert g.arcs is g.arcs
+        assert Graph(1, []).arcs == frozenset()
+
 
 class TestBfs:
     def test_line_graph(self):
@@ -144,6 +152,14 @@ class TestShortestPath:
                 assert len(walk) - 1 == bfs_distances(fig1.graph, s)[t]
                 for u, v in zip(walk, walk[1:]):
                     assert fig1.graph.has_edge(u, v)
+
+
+    def test_descend_refuses_a_row_that_is_not_a_bfs_row(self):
+        # on the path 0-1-2, vertex 2 claims distance 1 but has no neighbour at 0
+        g = Graph(3, [[0, 1], [1, 2]])
+        assert descend(g, [0, 1, 2], 2) == [2, 1, 0]
+        with pytest.raises(ValueError, match="not a BFS row"):
+            descend(g, [0, 2, 1], 1)
 
 
 class TestBidirected:

@@ -145,3 +145,41 @@ class TestValidation:
         inst = Instance(Graph(2, [[0, 1]]), ((0, 0), (1, 1)))
         ok, why = validate_solution(inst, Solution(((0,), (1,)), 0))
         assert ok, why
+
+
+NINE = FIG1_NINE_EDGE_SOLUTION.walks
+
+
+class TestEveryRejection:
+    """Each reason `validate_solution` gives, and which one wins when a
+    solution fails several ways: the walk count first, then each walk in order
+    (empty, start, end, steps), then coverage, then the cost."""
+
+    @pytest.mark.parametrize("walks, cost, why", [
+        (((), NINE[1]), 6, "empty walk"),
+        (((0, 5, 7), NINE[1]), 8, "wrong end"),
+        (((0, -1, 5, 7, 2), NINE[1]), 10, "not an edge"),
+        (((0, 5, 7, 2, 10, 2), NINE[1]), 11, "not an edge"),
+        (((0, 5, 5, 7, 2), NINE[1]), 10, "not an edge"),
+        # two failures: the first check in the order above wins
+        (((5, 0, 3), NINE[1]), 8, "wrong start"),
+        (((0, 3, 6), NINE[1]), 8, "wrong end"),
+        (((0, 3, 2), (5, 8, 9, 7, 4, 6, 3)), 8, "not an edge"),
+        (((0, 5, 7, 2), ()), 3, "empty walk"),
+        (((0, 3, 2), (1, 8, 9, 7, 4, 3)), 7, "not an edge"),
+        (((0, 5, 7, 2), (1, 8, 9, 7, 4, 3)), 99, "uncovered vertex"),
+        (((0, -1, 2),), 2, "walk count mismatch"),
+    ])
+    def test_reason(self, fig1, walks, cost, why):
+        assert validate_solution(fig1, Solution(walks, cost)) == (False, why)
+
+    def test_an_edge_walked_against_its_listed_orientation_is_accepted(self, fig1):
+        # fig1 lists [0, 5] and [7, 2]; this walk also steps 5 -> 0 and 2 -> 7
+        walks = ((0, 5, 0, 5, 7, 2, 7, 2), NINE[1])
+        assert validate_solution(fig1, Solution(walks, 13)) == (True, None)
+
+    def test_an_out_of_range_vertex_never_counts_as_covered(self, fig1):
+        # vertex 10 would make up the count of the missed vertex 6, but no
+        # edge reaches it
+        walks = ((0, 5, 7, 2), (1, 8, 9, 7, 4, 10, 3))
+        assert validate_solution(fig1, Solution(walks, 8)) == (False, "not an edge")

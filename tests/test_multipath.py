@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from multipath_tsp.multipath import (
 )
 
 from conftest import random_instances
+from oracles import attachment_order_rescan
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +283,36 @@ def test_attachment_order_follows_its_rule(case):
         now.add(v)
     # every uncovered vertex is attached exactly once
     assert sorted(v for v, _ in steps) == sorted(set(range(g.n)) - covered)
+
+
+def test_attachment_order_equals_the_rescan_on_random_graphs():
+    rng = random.Random(71)
+    for _ in range(400):
+        n = rng.randint(1, 50)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = Graph(n, sorted(edges, key=lambda e: rng.random()))
+        covered = set(rng.sample(range(n), rng.randint(1, n)))
+        before = set(covered)
+        assert attachment_order(g, covered) == attachment_order_rescan(g, covered)
+        assert covered == before
+
+
+def test_attachment_order_on_a_long_path_covered_at_one_end():
+    # covered at its last vertex, the path attaches from the top down, so a
+    # rescan of the pending vertices in increasing order per step would be
+    # quadratic
+    n = 4000
+    g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    assert attachment_order(g, {n - 1}) == [(v, v + 1) for v in range(n - 2, -1, -1)]
+    assert attachment_order(g, {0}) == [(v, v - 1) for v in range(1, n)]
+
+
+def test_attachment_order_refuses_an_unreachable_vertex():
+    g = Graph(4, [[0, 1], [2, 3]])
+    with pytest.raises(InternalError, match="not connected"):
+        attachment_order(g, {0})
+    with pytest.raises(InternalError, match="not connected"):
+        attachment_order_rescan(g, {0})

@@ -15,6 +15,7 @@ from multipath_tsp.errors import InternalError
 from multipath_tsp.graphs import Graph, all_pairs_distances, bfs_distances
 from multipath_tsp.parity import (
     MATCH_DP_MAX,
+    assignment_cycles,
     certified_pairs,
     min_tjoin,
     min_weight_pairs,
@@ -229,6 +230,38 @@ class TestCertifiedMatching:
         assert min_tjoin(g, odd, dists).cost == tjoin_brute_force(g, odd)[0] == 4
 
 
+class TestAssignmentCycles:
+    def test_cycles_partition_the_set_and_weigh_the_least_assignment(self):
+        rng = random.Random(67)
+        for size in range(2, 25, 2):
+            n = rng.randint(size, 40)
+            g = random_graph(rng, n, max_edges=rng.randint(n - 1, 2 * n))
+            dists = all_pairs_distances(g)
+            odd = tuple(sorted(rng.sample(range(n), size)))
+            weight = [[dists[a][b] for b in odd] for a in odd]
+            cycles = assignment_cycles(weight)
+            assert sorted(v for cycle in cycles for v in cycle) == list(range(size))
+            assert all(len(cycle) >= 2 and cycle[0] == min(cycle) for cycle in cycles)
+            assert [cycle[0] for cycle in cycles] == sorted(cycle[0] for cycle in cycles)
+            around = sum(weight[a][b] for cycle in cycles for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            assert around == assignment_value(weight)
+            assert certified_pairs(weight, cycles) == certified_pairs(weight)
+
+    def test_min_tjoin_seeds_the_odd_set_lp_with_the_odd_cycles(self, monkeypatch):
+        # UNCERTIFIED_TREE's assignment has the odd cycles (0 1 2) and (5 7 6)
+        g = Graph(8, UNCERTIFIED_TREE)
+        dists = all_pairs_distances(g)
+        calls = []
+
+        def spy(weight, odd_sets=()):
+            calls.append([list(s) for s in odd_sets])
+            return odd_set_pairs(weight, odd_sets)
+
+        monkeypatch.setattr(parity, "odd_set_pairs", spy)
+        assert min_tjoin(g, range(8), dists).cost == 6
+        assert calls == [[[0, 1, 2], [5, 7, 6]]]
+
+
 def gnp_graph(rng: random.Random, n: int, p: float) -> Graph:
     """A random tree plus each other pair with probability p: connected G(n, p)-like."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
@@ -271,6 +304,28 @@ class TestOddSetMatching:
         assert [np.flatnonzero(s).tolist() for s in parity._odd_cuts(6, ends, half)] == [[3, 4, 5]]
         pairs = odd_set_pairs(self.TRIANGLES)
         assert sum(self.TRIANGLES[a][b] for a, b in pairs) == 12
+
+    def test_seeded_odd_sets_go_in_before_the_first_solve(self, monkeypatch):
+        # the assignment's odd cycles are the two triangles: with their rows
+        # in place the first solve is the matching, with no round of _odd_cuts
+        assert assignment_cycles(self.TRIANGLES) == [[0, 2, 1], [3, 5, 4]]
+        monkeypatch.setattr(parity, "_odd_cuts", lambda t, ends, x: [])
+        pairs = odd_set_pairs(self.TRIANGLES, [[0, 2, 1], [3, 5, 4]])
+        assert sum(self.TRIANGLES[a][b] for a, b in pairs) == 12
+
+    def test_seeded_weight_equals_blossom_on_trees_and_gnp(self):
+        rng = random.Random(59)
+        for size in range(2, 31, 2):
+            for shape in ("tree", "gnp"):
+                n = rng.randint(size, 60)
+                g = gnp_graph(rng, n, 0.0 if shape == "tree" else 3 / n)
+                dists = all_pairs_distances(g)
+                odd = tuple(sorted(rng.sample(range(n), size)))
+                weight = [[dists[a][b] for b in odd] for a in odd]
+                seeds = [cycle for cycle in assignment_cycles(weight) if len(cycle) % 2]
+                pairs = odd_set_pairs(weight, seeds)
+                assert sorted(v for pair in pairs for v in pair) == list(range(size))
+                assert sum(weight[i][j] for i, j in pairs) == blossom_weight(dists, odd), (shape, g.edges, odd)
 
     def test_fractional_point_without_a_violated_odd_set_raises(self, monkeypatch):
         monkeypatch.setattr(parity, "_odd_cuts", lambda t, ends, x: [])
