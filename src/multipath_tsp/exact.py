@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleLimitError
-from .graphs import Graph, all_pairs_distances, descend
+from .graphs import Graph, descend
 from .instances import AnyInstance, Solution
 
 INF = float("inf")
@@ -230,7 +230,7 @@ def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
     parent = _pendant_parents(g, inst.terminals)
     free = [v for v in free if v not in parent]   # the kernel's free vertices
     f = len(free)
-    dist = np.array(all_pairs_distances(g), dtype=float)
+    dist = np.array(g.dists, dtype=float)
     k = inst.k
     layers = _popcount_layers(f)
     tables = [_walk_tables(dist, s, t, free, layers) for s, t in inst.commodities]
@@ -258,13 +258,12 @@ def exact_opt(inst: AnyInstance, limit_free: int = 10) -> ExactResult:
 def reconstruct_walks(inst: AnyInstance, result: ExactResult) -> Solution:
     """Expand an oracle result into graph walks via shortest paths."""
     g = inst.graph
-    dists = all_pairs_distances(g)
     walks = []
     cost = 0
     for order in result.orders:
         walk = [order[0]]
         for a, b in zip(order, order[1:]):
-            walk.extend(descend(g, dists[b], a)[1:])
+            walk.extend(descend(g, g.dists[b], a)[1:])
         walks.append(tuple(walk))
         cost += len(walk) - 1
     return Solution(tuple(walks), cost)

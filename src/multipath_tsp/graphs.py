@@ -25,7 +25,7 @@ class Graph:
     Connectivity is *not* enforced here; instance loading checks it.
     """
 
-    __slots__ = ("n", "edges", "adj", "_edge_index", "_arcs")
+    __slots__ = ("n", "edges", "adj", "_edge_index", "_arcs", "_dists")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 1:
@@ -64,6 +64,16 @@ class Graph:
         except AttributeError:
             self._arcs = frozenset(self.edges).union([(v, u) for u, v in self.edges])
             return self._arcs
+
+    @property
+    def dists(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs BFS hop counts, one `bfs_distances` row per source vertex,
+        built on first use like `arcs` and shared by every reader."""
+        try:
+            return self._dists
+        except AttributeError:
+            self._dists = tuple(tuple(bfs_distances(self, v)) for v in range(self.n))
+            return self._dists
 
     def edge_id(self, u: int, v: int) -> int:
         """Index of edge {u,v}; raises KeyError if absent."""
@@ -127,11 +137,6 @@ def descend(g: Graph, dist: list[int], u: int) -> list[int]:
 def shortest_path(g: Graph, u: int, v: int) -> list[int]:
     """A shortest u-v path as a vertex list, deterministic (see `descend`)."""
     return descend(g, bfs_distances(g, v), u)
-
-
-def all_pairs_distances(g: Graph) -> list[list[int]]:
-    """BFS distance matrix, one row per vertex."""
-    return [bfs_distances(g, v) for v in range(g.n)]
 
 
 class BidirectedGraph:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .decomposition import Decomposition, decompose, path_mass
 from .errors import InternalError
-from .graphs import Graph, all_pairs_distances
+from .graphs import Graph
 from .instances import AnyInstance, Instance, Solution, validate_solution
 from .lp import EPS_OBJ, FractionalSolution, solve_lp
 
@@ -55,8 +55,8 @@ def make_report(sampling: int, reconnection: int, parity: int, lp_objective: flo
 class SolverPlan:
     """LP optimum and decomposition, reusable across every solver run on
     the instance: sampling trials, the derandomized pass, the combiner and
-    ordered trials. `mass` and `dists` are computed on first use, so a plan
-    only pays for what its solvers read."""
+    ordered trials. `mass` is computed on first use, so sampling trials and
+    ordered plans never pay for it."""
 
     instance: AnyInstance
     lp: FractionalSolution
@@ -67,21 +67,16 @@ class SolverPlan:
         """(k, n) path mass (see `path_mass`), read by the derandomized pass."""
         return path_mass(self.instance, self.decomposition)
 
-    @cached_property
-    def dists(self) -> list[list[int]]:
-        """All-pairs distances, read by the ordered join."""
-        return all_pairs_distances(self.instance.graph)
-
 
 def prepare(inst: AnyInstance) -> SolverPlan:
     lp_sol = solve_lp(inst)
     return SolverPlan(inst, lp_sol, decompose(inst, lp_sol))
 
 
-def chosen_walks(dec: Decomposition, chosen: list[int | None]) -> list[list[int]]:
-    """Walks for one chosen path index per commodity; None keeps a singleton."""
+def chosen_walks(dec: Decomposition, chosen: list[int | None]) -> list[tuple[int, ...]]:
+    """The decomposition's vertex tuples for one chosen path index per commodity; None keeps a singleton."""
     return [
-        [s] if j is None else list(dec.paths[i][j].vertices)
+        (s,) if j is None else dec.paths[i][j].vertices
         for i, ((s, _), j) in enumerate(zip(dec.instance.commodities, chosen))
     ]
 
@@ -206,7 +201,7 @@ def splice_excursions(walks, extra) -> Solution:
     if len(used) != len(extra):
         raise InternalError("disconnected union: extra edges share no vertex with any walk")
     # rebuild the walks that take excursions, from the back so the recorded
-    # positions stay valid; the others are copied only into the result
+    # positions stay valid; walks given as tuples pass through uncopied
     spliced = list(walks)
     for (i, pos), circuit in sorted(excursions.items(), reverse=True):
         walk = spliced[i]
@@ -218,7 +213,7 @@ def splice_excursions(walks, extra) -> Solution:
     return Solution(spliced, cost)
 
 
-def reconnect(inst: AnyInstance, walks: list[list[int]]) -> Solution:
+def reconnect(inst: AnyInstance, walks: list[tuple[int, ...]]) -> Solution:
     """Attach every vertex off the walks by a doubled edge (cost two each),
     in `attachment_order`, and splice the doubled edges into the walks."""
     steps = attachment_order(inst.graph, {v for walk in walks for v in walk})

@@ -41,7 +41,7 @@ def run_ordered_trial(plan: SolverPlan, seed: int) -> tuple[Solution, CostReport
     g = inst.graph
     walks = chosen_walks(plan.decomposition, sample_paths(plan.decomposition, seed))
     steps = attachment_order(g, set().union(*walks))
-    join = min_tjoin(g, odd_vertices(steps), plan.dists)
+    join = min_tjoin(g, odd_vertices(steps))
     sol = splice_excursions(walks, steps + [g.edges[e] for e in join.edges])
     sampling = sum(len(w) - 1 for w in walks)
     report = make_report(sampling, len(steps), join.cost, plan.lp.objective)

@@ -26,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InternalError, LpError
-from .graphs import FLOW_EPS, BidirectedGraph, CapacitatedNetwork, Graph, all_pairs_distances, descend, min_cut
+from .graphs import FLOW_EPS, BidirectedGraph, CapacitatedNetwork, Graph, descend, min_cut
 from .lp import EPS_OBJ, EPS_SEP, MAX_CUT_ROUNDS, HighsModel, kHighsInf, linear_sum_assignment
 
 MATCH_DP_MAX = 12  # most odd-cycle vertices the bitmask DP matches; the odd-set LP takes over above it
@@ -272,11 +272,11 @@ def odd_set_pairs(weight, odd_sets=()) -> list[tuple[int, int]]:
     return matched
 
 
-def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
+def min_tjoin(g: Graph, odd) -> TJoin:
     """Cost-minimal edge set with odd degree exactly on `odd`.
 
-    Requires an even set of distinct vertices in a connected graph. `dists` may carry a
-    precomputed BFS distance matrix to avoid recomputation in hot loops. The odd
+    Requires an even set of distinct vertices in a connected graph. The
+    distances are the graph's own `g.dists`, built once per graph. The odd
     vertices are matched by `certified_pairs` where the assignment bound certifies
     its repair, else by the odd-set LP of `odd_set_pairs`, which starts from the
     rows of the assignment's odd cycles.
@@ -290,10 +290,8 @@ def min_tjoin(g: Graph, odd, dists: list[list[int]] | None = None) -> TJoin:
         return TJoin(frozenset())
     if odd[0] < 0 or odd[-1] >= g.n:
         raise ValueError(f"vertex outside 0..{g.n - 1}: the target set of a join must lie in the graph")
-    if dists is None:
-        dists = all_pairs_distances(g)
-    rows = [dists[a] for a in odd]
     pick = itemgetter(*odd)
+    rows = pick(g.dists)
     weight = [pick(row) for row in rows]
     cycles = assignment_cycles(weight)
     pairs = certified_pairs(weight, cycles)

@@ -8,7 +8,7 @@ import pytest
 from multipath_tsp import exact
 from multipath_tsp.errors import OracleLimitError
 from multipath_tsp.exact import INF, LIMIT_DP, ExactResult, exact_opt, reconstruct_walks
-from multipath_tsp.graphs import Graph, all_pairs_distances
+from multipath_tsp.graphs import Graph
 from multipath_tsp.instances import Instance, validate_solution
 from multipath_tsp.lp import solve_lp
 from multipath_tsp.multipath import solve_derandomized
@@ -19,7 +19,7 @@ from oracles import brute_force_cut_check, pendant_anchors
 
 def exact_by_permutations(inst: Instance) -> int:
     """Independent oracle: enumerate assignments and waypoint permutations."""
-    dist = all_pairs_distances(inst.graph)
+    dist = inst.graph.dists
     free = sorted(set(range(inst.graph.n)) - inst.terminals)
     k = inst.k
 
@@ -49,7 +49,7 @@ def exact_by_permutations(inst: Instance) -> int:
 
 def exact_with_one_shared_vertex(inst: Instance) -> int:
     """Relaxation allowing a single free vertex to join two commodities."""
-    dist = all_pairs_distances(inst.graph)
+    dist = inst.graph.dists
     free = sorted(set(range(inst.graph.n)) - inst.terminals)
     k = inst.k
 
@@ -261,7 +261,7 @@ class TestHeldKarp:
                 edges = [[rng.randrange(v), v] for v in range(1, n)]
                 edges += [[u, v] for u, v in itertools.combinations(range(n), 2)
                           if [u, v] not in edges and rng.random() < 0.15]
-                dist = all_pairs_distances(Graph(n, edges))
+                dist = Graph(n, edges).dists
                 free = [v for v in range(n) if v not in (s, t)]
                 cost, order = exact._walk_tables(
                     np.array(dist, dtype=float), s, t, free, exact._popcount_layers(f))
@@ -273,7 +273,7 @@ class TestHeldKarp:
 def optimal_assignments(inst: Instance) -> tuple[int, list[tuple[int, ...]]]:
     """Brute force: the optimum and every optimal assignment, each as one
     bitmask over the sorted free vertices per commodity."""
-    dist = all_pairs_distances(inst.graph)
+    dist = inst.graph.dists
     free = sorted(set(range(inst.graph.n)) - inst.terminals)
     f, k = len(free), inst.k
     walk = {}
@@ -325,7 +325,7 @@ class TestTieRule:
             assert result.assignment in [
                 tuple(frozenset(free[j] for j in range(len(free)) if m >> j & 1) for m in masks) for masks in found
             ]
-            dist = all_pairs_distances(inst.graph)
+            dist = inst.graph.dists
             total = 0
             for (s, t), assigned, order in zip(inst.commodities, result.assignment, result.orders):
                 assert (order[0], order[-1]) == (s, t)

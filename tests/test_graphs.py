@@ -127,6 +127,24 @@ class TestBfs:
                 if dist[u][w] >= 0 and dist[u][v] >= 0 and dist[v][w] >= 0:
                     assert dist[u][w] <= dist[u][v] + dist[v][w]
 
+    def test_distance_table_is_built_once_on_first_read(self, monkeypatch):
+        import multipath_tsp.graphs as graphs
+
+        calls = []
+
+        def counted(g, source):
+            calls.append(source)
+            return bfs_distances(g, source)
+
+        monkeypatch.setattr(graphs, "bfs_distances", counted)
+        g = Graph(5, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3]])
+        assert calls == [] and not hasattr(g, "_dists")
+        table = g.dists
+        assert sorted(calls) == list(range(5))
+        assert g.dists is table and len(calls) == 5
+        for v in range(5):
+            assert list(table[v]) == bfs_distances(g, v)
+
 
 class TestConnectivity:
     def test_single_vertex(self):

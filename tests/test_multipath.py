@@ -23,6 +23,7 @@ from multipath_tsp.multipath import (
     solve_derandomized,
     solve_randomized,
 )
+from multipath_tsp.vrp import run_combiner
 
 from conftest import random_instances
 from oracles import attachment_order_rescan
@@ -49,7 +50,7 @@ class TestSampling:
             chosen = sample_paths(plan.decomposition, seed)
             assert chosen == [0]
             walks = chosen_walks(plan.decomposition, chosen)
-            assert walks == [[0, 1, 2]]
+            assert walks == [(0, 1, 2)]
             # the sampled path alone covers every vertex
             ok, why = validate_solution(path3, Solution((tuple(walks[0]),), 2))
             assert ok, why
@@ -72,7 +73,7 @@ class TestSampling:
         plan = prepare(inst)
         chosen = sample_paths(plan.decomposition, 0)
         assert chosen[1] is None
-        assert chosen_walks(plan.decomposition, chosen)[1] == [1]
+        assert chosen_walks(plan.decomposition, chosen)[1] == (1,)
 
     def test_trial_mean_matches_opening_potential(self):
         # phi0 is the expected cost of one trial when path j is sampled with
@@ -241,7 +242,15 @@ class TestDerandomized:
         assert "mass" not in vars(plan)
         run_derandomized(plan)
         assert np.array_equal(vars(plan)["mass"], path_mass(fig1, plan.decomposition))
-        assert "dists" not in vars(plan)  # only the ordered join reads it
+
+    def test_multipath_solvers_leave_the_distance_table_unbuilt(self):
+        # only the ordered join and the exact oracle read `Graph.dists`
+        for inst in random_instances("multipath", 10, seed=47, n_max=10):
+            plan = prepare(inst)
+            run_trial(plan, 0)
+            run_derandomized(plan)
+            run_combiner(plan)
+            assert not hasattr(inst.graph, "_dists")
 
     def test_plan_run_matches_instance_wrapper(self, fig1):
         for inst in [fig1] + random_instances("multipath", 20, seed=43, n_max=10):

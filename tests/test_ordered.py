@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +47,25 @@ class TestSolveOrdered:
         assert plan.lp.cuts == same.lp.cuts
         assert plan.decomposition.paths == same.decomposition.paths
         run_ordered_trial(plan, 0)
-        # the join reads the distances; nothing on the ordered path reads the path mass
-        assert "dists" in vars(plan) and "mass" not in vars(plan)
+        # the join reads the graph's distances; nothing on the ordered path reads the path mass
+        assert hasattr(fig1_ordered.graph, "_dists") and "mass" not in vars(plan)
+
+    def test_join_above_half_the_lp_raises(self, fig1):
+        # fig1_ordered's LP is integral and its paths cover every vertex, so no
+        # seed gives it a join; the order (0, 2, 1) leaves vertices to reconnect
+        plan = prepare(OrderedInstance(fig1.graph, (0, 2, 1)))
+        join = run_ordered_trial(plan, 0)[2]
+        assert join.cost > 0
+        low = replace(plan, lp=replace(plan.lp, objective=2.0 * join.cost - 1.0))
+        with pytest.raises(InternalError, match="parity join exceeded half the LP value"):
+            run_ordered_trial(low, 0)
+
+    def test_invalid_solution_raises(self, fig1_ordered, monkeypatch):
+        import multipath_tsp.ordered as ordered
+
+        monkeypatch.setattr(ordered, "validate_ordered", lambda inst, sol: (False, "forced"))
+        with pytest.raises(InternalError, match="invalid solution: forced"):
+            run_ordered_trial(prepare(fig1_ordered), 0)
 
     def test_fig1_order_every_seed(self, fig1_ordered):
         plan = prepare(fig1_ordered)
@@ -133,7 +151,7 @@ class TestExtraction:
             g = inst.graph
             walks = chosen_walks(plan.decomposition, sample_paths(plan.decomposition, 2))
             extra = attachment_order(g, {v for walk in walks for v in walk})
-            join = min_tjoin(g, odd_vertices(extra), plan.dists)
+            join = min_tjoin(g, odd_vertices(extra))
             extra += [g.edges[e] for e in join.edges]
             sol = splice_excursions([tuple(w) for w in walks], extra)
             produced = Counter()

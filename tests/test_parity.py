@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import multipath_tsp.parity as parity
 from multipath_tsp.errors import InternalError
-from multipath_tsp.graphs import Graph, all_pairs_distances, bfs_distances
+from multipath_tsp.graphs import Graph, bfs_distances
 from multipath_tsp.parity import (
     MATCH_DP_MAX,
     assignment_cycles,
@@ -152,10 +152,10 @@ class TestMatchingDp:
             for _ in range(6):
                 n = rng.randint(max(size, 2), 40)
                 g = random_graph(rng, n, max_edges=rng.randint(n - 1, 2 * n))
-                dists = all_pairs_distances(g)
+                dists = g.dists
                 odd = tuple(sorted(rng.sample(range(n), size)))
                 best = blossom_weight(dists, odd)
-                assert min_tjoin(g, odd, dists).cost == best, (size, g.edges, odd)
+                assert min_tjoin(g, odd).cost == best, (size, g.edges, odd)
                 weight = [[dists[a][b] for b in odd] for a in odd]
                 matchings = [min_weight_pairs(weight)] if size <= MATCH_DP_MAX else []
                 if size:
@@ -188,9 +188,9 @@ class TestMatchingDp:
         # on the 4-cycle 0-1-2-3-0 both {01, 23} and {03, 12} weigh 2;
         # vertex 0 takes partner 1, the lower of the two tying partners
         g = Graph(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
-        dists = all_pairs_distances(g)
+        dists = g.dists
         assert min_weight_pairs(dists) == [(0, 1), (2, 3)]
-        join = min_tjoin(g, (0, 1, 2, 3), dists)
+        join = min_tjoin(g, (0, 1, 2, 3))
         assert join.edges == frozenset({g.edge_id(0, 1), g.edge_id(2, 3)})
 
 
@@ -204,14 +204,14 @@ class TestCertifiedMatching:
         # bound 6 = (12 + 1) // 2, so the odd-set LP matches it; the tree's
         # only join with every vertex odd has 6 edges
         g = Graph(8, UNCERTIFIED_TREE)
-        dists = all_pairs_distances(g)
+        dists = g.dists
         odd = tuple(range(8))
         weight = [[dists[a][b] for b in odd] for a in odd]
         assert assignment_value(weight) == 12
         assert certified_pairs(weight) is None
         best, _ = tjoin_brute_force(g, odd)
         assert best == 6
-        assert min_tjoin(g, odd, dists).cost == best
+        assert min_tjoin(g, odd).cost == best
 
     def test_odd_assignment_certified_by_its_ceiling(self):
         # triangle 0-1-3, the edge 0-2, and leaves 4 and 5 at 2: the least
@@ -220,14 +220,22 @@ class TestCertifiedMatching:
         # integer matching, and the ceiling 4 is the optimum, (1, 3) + (2, 4)
         # + (0, 5) or (0, 2) + (1, 3) + (4, 5)
         g = Graph(6, [[0, 1], [0, 2], [0, 3], [1, 3], [2, 4], [2, 5]])
-        dists = all_pairs_distances(g)
+        dists = g.dists
         odd = tuple(range(6))
         weight = [[dists[a][b] for b in odd] for a in odd]
         assert assignment_value(weight) == 7
         pairs = certified_pairs(weight)
         assert pairs is not None
         assert sum(weight[i][j] for i, j in pairs) == 4
-        assert min_tjoin(g, odd, dists).cost == tjoin_brute_force(g, odd)[0] == 4
+        assert min_tjoin(g, odd).cost == tjoin_brute_force(g, odd)[0] == 4
+
+
+    def test_even_cycle_tie_pairs_the_lowest_vertex_with_its_lower_neighbour(self):
+        # every pair weighs 1, so both alternate halves of the 4-cycle weigh 2;
+        # in either direction round the cycle, 0 takes 1, not 3
+        weight = [[int(a != b) for b in range(4)] for a in range(4)]
+        for cycle in ([0, 1, 2, 3], [0, 3, 2, 1]):
+            assert sorted(certified_pairs(weight, [cycle])) == [(0, 1), (2, 3)], cycle
 
 
 class TestAssignmentCycles:
@@ -236,7 +244,7 @@ class TestAssignmentCycles:
         for size in range(2, 25, 2):
             n = rng.randint(size, 40)
             g = random_graph(rng, n, max_edges=rng.randint(n - 1, 2 * n))
-            dists = all_pairs_distances(g)
+            dists = g.dists
             odd = tuple(sorted(rng.sample(range(n), size)))
             weight = [[dists[a][b] for b in odd] for a in odd]
             cycles = assignment_cycles(weight)
@@ -250,7 +258,6 @@ class TestAssignmentCycles:
     def test_min_tjoin_seeds_the_odd_set_lp_with_the_odd_cycles(self, monkeypatch):
         # UNCERTIFIED_TREE's assignment has the odd cycles (0 1 2) and (5 7 6)
         g = Graph(8, UNCERTIFIED_TREE)
-        dists = all_pairs_distances(g)
         calls = []
 
         def spy(weight, odd_sets=()):
@@ -258,7 +265,7 @@ class TestAssignmentCycles:
             return odd_set_pairs(weight, odd_sets)
 
         monkeypatch.setattr(parity, "odd_set_pairs", spy)
-        assert min_tjoin(g, range(8), dists).cost == 6
+        assert min_tjoin(g, range(8)).cost == 6
         assert calls == [[[0, 1, 2], [5, 7, 6]]]
 
 
@@ -276,7 +283,7 @@ class TestOddSetMatching:
             for shape in ("tree", "gnp"):
                 n = rng.randint(size, 60)
                 g = gnp_graph(rng, n, 0.0 if shape == "tree" else 3 / n)
-                dists = all_pairs_distances(g)
+                dists = g.dists
                 odd = tuple(sorted(rng.sample(range(n), size)))
                 weight = [[dists[a][b] for b in odd] for a in odd]
                 pairs = odd_set_pairs(weight)
@@ -286,7 +293,7 @@ class TestOddSetMatching:
         # a plain branch and bound had not finished such trees after minutes
         rng = random.Random(11)
         g = gnp_graph(rng, 100, 0.0)
-        dists = all_pairs_distances(g)
+        dists = g.dists
         odd = tuple(sorted(rng.sample(range(100), 40)))
         weight = [[dists[a][b] for b in odd] for a in odd]
         start = time.perf_counter()
@@ -319,7 +326,7 @@ class TestOddSetMatching:
             for shape in ("tree", "gnp"):
                 n = rng.randint(size, 60)
                 g = gnp_graph(rng, n, 0.0 if shape == "tree" else 3 / n)
-                dists = all_pairs_distances(g)
+                dists = g.dists
                 odd = tuple(sorted(rng.sample(range(n), size)))
                 weight = [[dists[a][b] for b in odd] for a in odd]
                 seeds = [cycle for cycle in assignment_cycles(weight) if len(cycle) % 2]
@@ -337,7 +344,7 @@ class TestOddSetMatching:
         for size in range(2, 27, 2):
             n = rng.randint(size, 40)
             g = gnp_graph(rng, n, rng.choice((0.0, 0.1, 0.3)))
-            dists = all_pairs_distances(g)
+            dists = g.dists
             odd = tuple(sorted(rng.sample(range(n), size)))
             pairs = odd_set_pairs([[dists[a][b] for b in odd] for a in odd])
             assert sorted(v for pair in pairs for v in pair) == list(range(size))
