@@ -18,7 +18,7 @@ from multipath_tsp.ordered import (
     validate_ordered,
 )
 
-from conftest import random_instances, shaped_ordered_instances
+from conftest import FIG1_EDGES, random_instances, shaped_ordered_instances
 
 
 @pytest.fixture(scope="module")
@@ -39,21 +39,32 @@ class TestSolveOrdered:
         assert report.parity == 0 and report.reconnection == 0
         assert report.ratio == pytest.approx(1.0)
 
-    def test_plan_matches_the_commodity_instance(self, fig1_ordered):
+    def test_plan_matches_the_commodity_instance(self):
         assert prepare_ordered is prepare
-        plan = prepare(fig1_ordered)
-        same = prepare(Instance(fig1_ordered.graph, fig1_ordered.commodities))
+        inst = OrderedInstance(Graph(10, FIG1_EDGES), (0, 2, 1, 3))
+        plan = prepare(inst)
+        same = prepare(Instance(inst.graph, inst.commodities))
         assert np.array_equal(plan.lp.flows, same.lp.flows)
         assert plan.lp.cuts == same.lp.cuts
         assert plan.decomposition.paths == same.decomposition.paths
         run_ordered_trial(plan, 0)
-        # the join reads the graph's distances; nothing on the ordered path reads the path mass
-        assert hasattr(fig1_ordered.graph, "_dists") and "mass" not in vars(plan)
+        # this order's LP is integral and its paths cover every vertex, so the
+        # trial has no join and builds no distance table; nothing on the
+        # ordered path reads the path mass
+        assert not hasattr(inst.graph, "_dists") and "mass" not in vars(plan)
 
-    def test_join_above_half_the_lp_raises(self, fig1):
+    def test_join_builds_the_distance_table(self):
+        # the order (0, 2, 1) leaves vertices to reconnect, so seed 0 needs a join
+        g = Graph(10, FIG1_EDGES)
+        plan = prepare(OrderedInstance(g, (0, 2, 1)))
+        assert not hasattr(g, "_dists")
+        assert run_ordered_trial(plan, 0)[2].edges
+        assert hasattr(g, "_dists")
+
+    def test_join_above_half_the_lp_raises(self):
         # fig1_ordered's LP is integral and its paths cover every vertex, so no
         # seed gives it a join; the order (0, 2, 1) leaves vertices to reconnect
-        plan = prepare(OrderedInstance(fig1.graph, (0, 2, 1)))
+        plan = prepare(OrderedInstance(Graph(10, FIG1_EDGES), (0, 2, 1)))
         join = run_ordered_trial(plan, 0)[2]
         assert join.cost > 0
         low = replace(plan, lp=replace(plan.lp, objective=2.0 * join.cost - 1.0))
